@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 
+from . import __version__ as TOOL_VERSION
 from .connections import (
     GC_TARGETS,
     LAW_NAMES,
@@ -37,8 +38,6 @@ from .core import (
 )
 from .oracle import NoGreatestError, OracleError, oracle_spec
 from .orders import ORDERS
-
-TOOL_VERSION = "0.1.0"
 
 _PRED_TARGETS = ("takeWhile", "filter", "dropWhile")
 
@@ -63,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="maximum evaluations before refusing to run")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for the scan (default 1)")
+                       help="accepted for compatibility and ignored; scans "
+                            "run sequentially")
 
     p = sub.add_parser("check-order",
                        help="partial order laws for a named ordering")
@@ -248,7 +248,7 @@ def _run_oracle(args, u: Universe) -> int:
         inputs["pred"] = kwargs["pred"] = pred
 
     try:
-        result = oracle_spec(args.target, u, **kwargs)
+        result = oracle_spec(args.target, u, budget=args.budget, **kwargs)
     except OracleError as exc:
         if args.format == "json":
             outcome = {"error": str(exc)}
@@ -325,7 +325,8 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "find-counterexample":
         if args.target not in PAIR_NAMES:
             return _usage(f"unknown splitter/joiner pair {args.target!r}")
-        rep = find_non_gc_counterexample(args.target, u)
+        rep = find_non_gc_counterexample(args.target, u,
+                                         budget=args.budget)
         return emit_report(args.command, args.target, u, rep, fmt)
 
     if args.command == "oracle":

@@ -2,15 +2,16 @@
 consequences that follow from them.
 
 Every check reduces to scanning a cartesian product of finite axes for the
-first violation of a boolean condition.  The shared engine keeps witness
-selection deterministic: the reported counterexample is always the violation
-with the smallest flat index in the fixed axis order, whatever the worker
-count, and on failure ``cases_checked`` is that violation's 1-based position.
+first violation of a boolean condition.  The shared engine scans
+sequentially and keeps witness selection deterministic: the reported
+counterexample is always the violation with the smallest flat index in the
+fixed axis order, and on failure ``cases_checked`` is that violation's
+1-based position.  Every entry point accepts ``workers=`` for compatibility
+and ignores it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
@@ -38,6 +39,7 @@ from .core import (
     Universe,
     UniverseTooLargeError,
     all_satisfy,
+    count_seq_lists,
     enum_preds,
     materialize_carrier,
     nat_bound,
@@ -96,17 +98,16 @@ def _flatten_bindings(axes: Sequence[Axis], values: Sequence) -> tuple:
     return tuple(out)
 
 
-def _scan_chunk(axes: Sequence[Axis], violates: Callable, start: int,
-                stop: int) -> tuple[int, tuple] | None:
-    """First violation with outer-axis index in [start, stop), as
-    (flat index, bindings), or None."""
+def _scan(axes: Sequence[Axis],
+          violates: Callable) -> tuple[int, tuple] | None:
+    """First violation in lexicographic axis order, as (flat index,
+    bindings), or None."""
     outer = axes[0][1]
     inner_axes = [vals for _, vals in axes[1:]]
     inner_total = 1
     for vals in inner_axes:
         inner_total *= len(vals)
-    for i in range(start, stop):
-        v0 = outer[i]
+    for i, v0 in enumerate(outer):
         if inner_axes:
             for j, rest in enumerate(product(*inner_axes)):
                 if violates(v0, *rest):
@@ -124,10 +125,11 @@ def run_check(law_name: str, axes: Sequence[Axis], violates: Callable, *,
 
     ``projected`` overrides the budgeted evaluation count when one case costs
     more than a single evaluation (for instance a nested quantifier inside
-    ``violates``).  The outer axis is split contiguously across workers;
-    results merge by minimum flat index, so reports do not depend on the
-    worker count.
+    ``violates``).  ``workers`` is accepted for compatibility and ignored:
+    the scan is sequential, because under the interpreter lock threads only
+    slowed it down.
     """
+    del workers
     total = 1
     for _, vals in axes:
         total *= len(vals)
@@ -136,18 +138,7 @@ def run_check(law_name: str, axes: Sequence[Axis], violates: Callable, *,
             projected if projected is not None else total, budget, law_name)
 
     t0 = perf_counter()
-    n_outer = len(axes[0][1])
-    if workers <= 1 or n_outer <= 1:
-        hit = _scan_chunk(axes, violates, 0, n_outer)
-    else:
-        step = -(-n_outer // workers)
-        bounds = [(s, min(s + step, n_outer))
-                  for s in range(0, n_outer, step)]
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            results = list(pool.map(
-                lambda b: _scan_chunk(axes, violates, b[0], b[1]), bounds))
-        hits = [r for r in results if r is not None]
-        hit = min(hits, key=lambda r: r[0]) if hits else None
+    hit = _scan(axes, violates)
     elapsed = perf_counter() - t0
 
     if hit is None:
@@ -565,16 +556,21 @@ def check_indirect_equality(order_name: str, u: Universe, *,
 # Refuting the claimed adjunctions for the word and line splitters.
 
 
-def find_non_gc_counterexample(name: str, u: Universe) -> CheckReport:
+def find_non_gc_counterexample(name: str, u: Universe, *,
+                               budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Search the word-list carrier in enumeration order for a failure of
     the round-trip identity join.split.join = join.  Such a failure refutes
     every adjunction presentation with the joiner as lower map, since the
-    identity is forced whenever one exists."""
+    identity is forced whenever one exists.  Refuses upfront when the
+    carrier holds more than ``budget`` word lists."""
     if name not in PAIR_NAMES:
         raise ValueError(f"not a splitter/joiner pair: {name!r}")
     join, split = ((unwords_join, words_split) if name == "words-unwords"
                    else (unlines_join, lines_split))
     law = f"non-gc:{name}"
+    size = count_seq_lists(u)
+    if size > budget:
+        raise UniverseTooLargeError(size, budget, law)
     t0 = perf_counter()
     lists = materialize_carrier(Carrier(CarrierKind.SEQ_LIST), u)
     for i, ws in enumerate(lists):

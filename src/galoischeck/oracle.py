@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     Pred,
     Seq,
     Universe,
+    UniverseTooLargeError,
+    carrier_size_upper,
     enum_pair_seqs,
     enumerate_carrier,
 )
@@ -91,37 +94,39 @@ def _zip_candidates(xs: Seq, ys: Seq, u: Universe) -> list:
 
 def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
                 pred: Pred | None = None, n: int | None = None,
-                ys: Seq | None = None):
+                ys: Seq | None = None, budget: int = DEFAULT_BUDGET):
     """Compute a combinator's output purely from its split specification.
 
     name selects the combinator; the keyword arguments supply its inputs
     (xs always; pred for the predicate family, n for take, ys for zip).
+    The search walks the order's whole carrier, so it refuses upfront when
+    that carrier holds more than ``budget`` elements.
     """
     if name == "takeWhile":
         if xs is None or pred is None:
             raise ValueError("takeWhile oracle needs xs and pred")
+        order, x = PREFIX, xs
         easy = EasyCondition(lambda v, _x: all(pred(e) for e in v),
                              f"all elements satisfy {pred.bits()}")
-        return best_under(PREFIX, easy, xs, u)
-    if name == "take":
+    elif name == "take":
         if xs is None or n is None:
             raise ValueError("take oracle needs xs and n")
+        order, x = PREFIX, xs
         easy = EasyCondition(lambda v, _x: len(v) <= n,
                              f"length at most {n}")
-        return best_under(PREFIX, easy, xs, u)
-    if name == "filter":
+    elif name == "filter":
         if xs is None or pred is None:
             raise ValueError("filter oracle needs xs and pred")
+        order, x = SUBLIST, xs
         easy = EasyCondition(lambda v, _x: all(pred(e) for e in v),
                              f"all elements satisfy {pred.bits()}")
-        return best_under(SUBLIST, easy, xs, u)
-    if name == "dropWhile":
+    elif name == "dropWhile":
         if xs is None or pred is None:
             raise ValueError("dropWhile oracle needs xs and pred")
+        order, x = SUFFIX, xs
         easy = EasyCondition(lambda v, _x: head_fails(pred, v),
                              f"empty or head falsifies {pred.bits()}")
-        return best_under(SUFFIX, easy, xs, u)
-    if name == "zip":
+    elif name == "zip":
         if xs is None or ys is None:
             raise ValueError("zip oracle needs xs and ys")
 
@@ -130,8 +135,14 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
             return (all(zs[i][0] == a[i] for i in range(len(zs)))
                     and all(zs[i][1] == b[i] for i in range(len(zs))))
 
+        order, x = PAIR_PREFIX, (xs, ys)
         easy = EasyCondition(
             holds, "both projections are prefixes of the inputs")
-        return best_under(PAIR_PREFIX, easy, (xs, ys), u,
-                          candidates=_zip_candidates(xs, ys, u))
-    raise ValueError(f"no oracle for combinator {name!r}")
+    else:
+        raise ValueError(f"no oracle for combinator {name!r}")
+
+    size = carrier_size_upper(order.carrier, u)
+    if size > budget:
+        raise UniverseTooLargeError(size, budget, f"oracle:{name}")
+    candidates = _zip_candidates(xs, ys, u) if name == "zip" else None
+    return best_under(order, easy, x, u, candidates=candidates)

@@ -73,19 +73,15 @@ def product_order(a: tuple[int, Seq], b: tuple[int, Seq]) -> bool:
     return m <= n and is_prefix(ys, xs)
 
 
-def pair_prefix(zs, ws) -> bool:
-    """Prefix relation on pair sequences; pairs compare by equality."""
-    return is_prefix(zs, ws)
-
-
 def seq_pair_prefix(a: tuple[Seq, Seq], b: tuple[Seq, Seq]) -> bool:
     """Componentwise prefix on pairs of sequences."""
     return is_prefix(a[0], b[0]) and is_prefix(a[1], b[1])
 
 
-def seq_list_prefix(ws, vs) -> bool:
-    """Prefix relation on lists of sequences; words compare by equality."""
-    return is_prefix(ws, vs)
+# Pair sequences and word lists compare their elements by equality, so their
+# prefix orders are is_prefix itself; the names stay as public aliases.
+pair_prefix = is_prefix
+seq_list_prefix = is_prefix
 
 
 def _prefixes(y, u: Universe):
@@ -136,13 +132,13 @@ SUBLIST = OrderDef("sublist", is_sublist, Carrier(CarrierKind.SEQ),
 SUFFIX = OrderDef("suffix", is_suffix, Carrier(CarrierKind.SEQ), _suffixes)
 PRODUCT = OrderDef("product", product_order, Carrier(CarrierKind.NAT_SEQ),
                    _product_below)
-PAIR_PREFIX = OrderDef("pair-prefix", pair_prefix,
+PAIR_PREFIX = OrderDef("pair-prefix", is_prefix,
                        Carrier(CarrierKind.PAIR_SEQ), _prefixes)
 
 # Used by connection checks, not part of the named registry.
 SEQ_PAIR_PREFIX = OrderDef("prefix*prefix", seq_pair_prefix,
                            Carrier(CarrierKind.SEQ_PAIR), _seq_pair_below)
-SEQ_LIST_PREFIX = OrderDef("list-prefix", seq_list_prefix,
+SEQ_LIST_PREFIX = OrderDef("list-prefix", is_prefix,
                            Carrier(CarrierKind.SEQ_LIST), _prefixes)
 
 ORDERS: dict[str, OrderDef] = {
@@ -171,79 +167,86 @@ def check_order_laws(o: OrderDef, u: Universe, *,
 
     With a below-generator the scans only visit related pairs; without one a
     full pair scan is used, whose worst case is cubic in the carrier size and
-    is budgeted upfront.  Failures carry the first witness in enumeration
-    order of the quantifiers.  ``workers`` is accepted for interface symmetry;
-    the pruned scans are cheap enough to run sequentially.
+    is budgeted upfront.  Either way the pairs found to hold are kept as one
+    ascending ``above`` index list per element.  Transitivity reuses them: a
+    chain x <= y <= z needs ``leq(x, z)`` only when z is not already known to
+    be above x.  The budget counts the evaluations actually made.  Failures
+    carry the first witness in enumeration order of the quantifiers.
+    ``workers`` is accepted for interface symmetry; the pruned scans are
+    cheap enough to run sequentially.
     """
     del workers
     elems = materialize_carrier(o.carrier, u)
     n = len(elems)
+    leq = o.leq
+    context = f"order-laws:{o.name}"
     if o.below is None:
         projected = n + n * n + n * n * n
         if projected > budget:
-            raise UniverseTooLargeError(projected, budget,
-                                        f"order-laws:{o.name}")
-
-    evals = 0
-
-    def leq(a, b) -> bool:
-        nonlocal evals
-        evals += 1
-        if evals > budget:
-            raise UniverseTooLargeError(evals, budget, f"order-laws:{o.name}")
-        return o.leq(a, b)
+            raise UniverseTooLargeError(projected, budget, context)
 
     t0 = perf_counter()
     refl_cases = 0
     refl_cx = None
     for x in elems:
         refl_cases += 1
+        if refl_cases > budget:
+            raise UniverseTooLargeError(refl_cases, budget, context)
         if not leq(x, x):
             refl_cx = (("x", x),)
             break
     reflexive = CheckReport(f"reflexive:{o.name}",
                             "fail" if refl_cx else "pass",
                             refl_cases, refl_cx, perf_counter() - t0)
+    evals = refl_cases
 
-    index = {v: i for i, v in enumerate(elems)}
-    below: list[list[int]] = []
+    # above[i] lists, ascending, every j with leq(elems[i], elems[j]) known
+    # to hold.  Rows are filled in increasing j, so a repeated yield for the
+    # current y is the one whose list already ends in j.
+    above: list[list[int]] = [[] for _ in range(n)]
     if o.below is not None:
-        for y in elems:
-            seen = set()
-            row = []
+        index = {v: i for i, v in enumerate(elems)}
+        for j, y in enumerate(elems):
             for x in o.below(y, u):
-                if x in seen:
-                    continue
-                seen.add(x)
-                ix = index.get(x)
-                if ix is None:
+                i = index.get(x)
+                if i is None:
                     raise ValueError(f"below-generator for {o.name} yielded a "
                                      f"value outside the carrier: {x!r}")
+                row = above[i]
+                if row and row[-1] == j:
+                    continue
+                evals += 1
+                if evals > budget:
+                    raise UniverseTooLargeError(evals, budget, context)
                 if not leq(x, y):
                     raise ValueError(f"below-generator for {o.name} yielded "
                                      f"{x!r} which is not below {y!r}")
-                row.append(ix)
-            below.append(row)
+                row.append(j)
+        del index  # not needed past here; freeing it lowers the peak
     else:
-        for y in elems:
-            below.append([i for i, x in enumerate(elems) if leq(x, y)])
-
-    above: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(below):
-        for i in row:
-            above[i].append(j)
+        # The upfront projection covers every evaluation of this path.
+        evals += n * n
+        for j, y in enumerate(elems):
+            for i, x in enumerate(elems):
+                if leq(x, y):
+                    above[i].append(j)
 
     t0 = perf_counter()
     anti_cases = 0
     anti_cx = None
-    for i in range(n):
-        if anti_cx:
-            break
+    for i, x in enumerate(elems):
         for j in above[i]:
             anti_cases += 1
-            if i != j and leq(elems[j], elems[i]):
-                anti_cx = (("x", elems[i]), ("y", elems[j]))
+            if i == j:
+                continue
+            evals += 1
+            if evals > budget:
+                raise UniverseTooLargeError(evals, budget, context)
+            if leq(elems[j], x):
+                anti_cx = (("x", x), ("y", elems[j]))
                 break
+        if anti_cx:
+            break
     antisymmetric = CheckReport(f"antisymmetric:{o.name}",
                                 "fail" if anti_cx else "pass",
                                 anti_cases, anti_cx, perf_counter() - t0)
@@ -251,27 +254,33 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     t0 = perf_counter()
     trans_cases = 0
     trans_cx = None
-    for i in range(n):
-        if trans_cx:
-            break
-        x = elems[i]
+    for i, x in enumerate(elems):
+        proven = set(above[i])
         for j in above[i]:
-            if trans_cx:
-                break
-            for k in above[j]:
+            row = above[j]
+            if proven.issuperset(row):
+                trans_cases += len(row)
+                continue
+            for k in row:
                 trans_cases += 1
+                if k in proven:
+                    continue
+                evals += 1
+                if evals > budget:
+                    raise UniverseTooLargeError(evals, budget, context)
                 if not leq(x, elems[k]):
                     trans_cx = (("x", x), ("y", elems[j]), ("z", elems[k]))
                     break
+                proven.add(k)
+            if trans_cx:
+                break
+        if trans_cx:
+            break
     transitive = CheckReport(f"transitive:{o.name}",
                              "fail" if trans_cx else "pass",
                              trans_cases, trans_cx, perf_counter() - t0)
 
-    counts = [0] * n
-    for row in below:
-        for i in row:
-            counts[i] += 1
-    bottoms = [i for i in range(n) if counts[i] == n]
+    bottoms = [i for i in range(n) if len(above[i]) == n]
     least = elems[bottoms[0]] if len(bottoms) == 1 else None
 
     return OrderLawReport(reflexive, transitive, antisymmetric, least)

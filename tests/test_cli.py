@@ -197,6 +197,18 @@ def test_budget_exhaustion_exits_2(capsys):
     assert "exceed budget 1000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--target", "filter", "--pred", "0b01", "--input", "1,0,1"),
+    ("oracle", "--target", "zip", "--input", "0,1", "--input", "1"),
+    ("find-counterexample", "--target", "words-unwords"),
+])
+def test_search_commands_honour_budget(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--budget", "10")
+    assert code == 2
+    assert out == ""
+    assert "exceed budget 10" in err
+
+
 def test_help_and_missing_command(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     code, _, err = run_cli(capsys)

@@ -1,16 +1,21 @@
 """Orderings against independent closed-form characterizations, plus the
 law checker's behavior on healthy and broken relations."""
 
+from dataclasses import replace
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from galoischeck import (
+    DEFAULT_BUDGET,
     ORDERS,
     Carrier,
     CarrierKind,
+    CheckReport,
     OrderDef,
+    OrderLawReport,
     Universe,
     UniverseTooLargeError,
     check_order_laws,
@@ -179,3 +184,162 @@ def test_composite_prefix_orders_delegate_componentwise():
     assert not seq_pair_prefix(((1,), ()), ((0, 1), (1,)))
     assert seq_list_prefix(((0,),), ((0,), (1, 1)))
     assert not seq_list_prefix(((1, 1),), ((0,), (1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the law engine against a plain nested-loop reference.
+
+
+def reference_order_laws(o, u, budget=DEFAULT_BUDGET):
+    """Nested loops over below-lists: one counted leq evaluation per
+    reflexive case, generator yield, antisymmetric pair and transitive
+    triple, refusing at the first evaluation past the budget."""
+    elems = materialize_carrier(o.carrier, u)
+    n = len(elems)
+    if o.below is None and n + n * n + n * n * n > budget:
+        raise UniverseTooLargeError(n + n * n + n * n * n, budget, o.name)
+    evals = 0
+
+    def leq(a, b):
+        nonlocal evals
+        evals += 1
+        if evals > budget:
+            raise UniverseTooLargeError(evals, budget, o.name)
+        return o.leq(a, b)
+
+    def first_failure(law, cases):
+        count = 0
+        for holds, cx in cases:
+            count += 1
+            if not holds:
+                return CheckReport(f"{law}:{o.name}", "fail", count, cx)
+        return CheckReport(f"{law}:{o.name}", "pass", count)
+
+    reflexive = first_failure(
+        "reflexive", ((leq(x, x), (("x", x),)) for x in elems))
+    index = {v: i for i, v in enumerate(elems)}
+    below = []
+    for y in elems:
+        if o.below is None:
+            below.append([i for i, x in enumerate(elems) if leq(x, y)])
+            continue
+        row = []
+        for x in o.below(y, u):
+            if index[x] in row:
+                continue
+            if not leq(x, y):
+                raise ValueError(f"{x!r} is not below {y!r}")
+            row.append(index[x])
+        below.append(row)
+    above = [[j for j in range(n) if i in below[j]] for i in range(n)]
+    antisymmetric = first_failure("antisymmetric", (
+        (not (i != j and leq(elems[j], elems[i])),
+         (("x", elems[i]), ("y", elems[j])))
+        for i in range(n) for j in above[i]))
+    transitive = first_failure("transitive", (
+        (leq(elems[i], elems[k]),
+         (("x", elems[i]), ("y", elems[j]), ("z", elems[k])))
+        for i in range(n) for j in above[i] for k in above[j]))
+    bottoms = [i for i in range(n) if len(above[i]) == n]
+    least = elems[bottoms[0]] if len(bottoms) == 1 else None
+    return OrderLawReport(reflexive, transitive, antisymmetric, least)
+
+
+def prefix_step(a, b):
+    return is_prefix(a, b) and len(b) - len(a) <= 1
+
+
+def all_prefixes(y, u):
+    return [y[:i] for i in range(len(y) + 1)]
+
+
+SEQ = Carrier(CarrierKind.SEQ)
+HAND_MADE = {
+    # not transitive: () <= (0,) <= (0, 0) but not () <= (0, 0)
+    "prefix-step": OrderDef("prefix-step", prefix_step, SEQ,
+                            lambda y, u: [y[:-1], y]),
+    # sound but incomplete, and () yields itself twice
+    "prefix-incomplete": OrderDef("prefix-incomplete", is_prefix, SEQ,
+                                  lambda y, u: [y, y[:-1]]),
+    "prefix-twice": OrderDef("prefix-twice", is_prefix, SEQ,
+                             lambda y, u: all_prefixes(y, u) * 2),
+    # a preorder: equal lengths are related both ways
+    "length": OrderDef("length", lambda a, b: len(a) <= len(b), SEQ,
+                       lambda y, u: [x for x in enum_seqs(u)
+                                     if len(x) <= len(y)]),
+    "blind-prefix-step": OrderDef("blind-prefix-step", prefix_step, SEQ),
+    "blind-length": OrderDef("blind-length",
+                             lambda a, b: len(a) <= len(b), SEQ),
+}
+DIFFERENTIAL_ORDERS = [*ORDERS.values(), SEQ_PAIR_PREFIX, SEQ_LIST_PREFIX,
+                       *HAND_MADE.values()]
+
+
+@pytest.mark.parametrize("order", DIFFERENTIAL_ORDERS,
+                         ids=[o.name for o in DIFFERENTIAL_ORDERS])
+@pytest.mark.parametrize("k,L", [(2, 3), (3, 2)])
+def test_engine_matches_nested_loop_reference(order, k, L):
+    u = Universe(k, L)
+    expected = reference_order_laws(order, u)
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return order.leq(a, b)
+
+    got = check_order_laws(replace(order, leq=counted), u)
+    assert got == expected
+    for budget in (10, 100, 1000):
+        try:
+            bounded = check_order_laws(order, u, budget=budget)
+        except UniverseTooLargeError:
+            bounded = None
+        try:
+            reference_order_laws(order, u, budget=budget)
+            reference_completes = True
+        except UniverseTooLargeError:
+            reference_completes = False
+        if reference_completes:
+            assert bounded == expected
+        if order.below is not None:
+            # refused exactly when the evaluations it makes exceed the budget
+            assert (bounded is None) == (calls > budget)
+        if bounded is not None:
+            assert bounded == expected
+
+
+def random_order(seed, u):
+    """A seeded reflexive relation on the sequences, with a generator that
+    yields a seeded part of each down-set, so that transitivity needs both
+    proven and unproven pairs."""
+    rng = Random(seed)
+    elems = list(enum_seqs(u))
+    holds = {(a, b) for a in elems for b in elems
+             if a == b or rng.random() < 0.4}
+    listed = {pair for pair in sorted(holds) if rng.random() < 0.6}
+    return OrderDef(f"random-{seed}", lambda a, b: (a, b) in holds, SEQ,
+                    lambda y, u: [x for x in elems if (x, y) in listed])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_engine_matches_reference_on_random_relations(seed):
+    u = Universe(2, 2)
+    order = random_order(seed, u)
+    assert check_order_laws(order, u) == reference_order_laws(order, u)
+
+
+@pytest.mark.parametrize("name,law,witness", [
+    ("prefix-step", "transitive", (("x", ()), ("y", (0,)), ("z", (0, 0)))),
+    ("length", "antisymmetric", (("x", (0,)), ("y", (1,)))),
+])
+def test_generator_orders_reach_failing_laws(name, law, witness):
+    report = check_order_laws(HAND_MADE[name], Universe(2, 3))
+    assert getattr(report, law).counterexample == witness
+    assert not report.ok
+
+
+@pytest.mark.parametrize("name", ["prefix-incomplete", "prefix-twice"])
+def test_partial_or_repeating_generators_still_pass(name):
+    report = check_order_laws(HAND_MADE[name], Universe(2, 3))
+    assert report.ok
