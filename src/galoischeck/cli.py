@@ -22,6 +22,7 @@ from .connections import (
     LAW_NAMES,
     PAIR_NAMES,
     SPEC_NAMES,
+    SPECS,
     WitnessNotFoundError,
     check_canonical_gc,
     check_easy_hard,
@@ -38,8 +39,6 @@ from .core import (
 )
 from .oracle import NoGreatestError, OracleError, oracle_spec
 from .orders import ORDERS
-
-_PRED_TARGETS = ("takeWhile", "filter", "dropWhile")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,22 +120,19 @@ def render_value(v) -> str:
     return repr(v)
 
 
+def _payload(command: str, target: str, u: Universe, **fields) -> dict:
+    universe = {"alphabet_size": u.alphabet_size, "max_len": u.max_len}
+    return {"command": command, "target": target, "universe": universe,
+            **fields, "tool_version": TOOL_VERSION}
+
+
 def report_payload(command: str, target: str, u: Universe,
                    rep: CheckReport) -> dict:
     cx = None
     if rep.counterexample is not None:
         cx = {name: encode_value(val) for name, val in rep.counterexample}
-    return {
-        "command": command,
-        "target": target,
-        "universe": {"alphabet_size": u.alphabet_size,
-                     "max_len": u.max_len},
-        "cases_checked": rep.cases_checked,
-        "verdict": rep.verdict,
-        "counterexample": cx,
-        "elapsed_ms": None,
-        "tool_version": TOOL_VERSION,
-    }
+    return _payload(command, target, u, cases_checked=rep.cases_checked,
+                    verdict=rep.verdict, counterexample=cx, elapsed_ms=None)
 
 
 def emit_report(command: str, target: str, u: Universe, rep: CheckReport,
@@ -169,6 +165,18 @@ def _parse_pred(text: str | None, u: Universe) -> Pred | None:
             f"predicate bitmask {text} out of range for alphabet size "
             f"{u.alphabet_size}"))
     return Pred(mask, u.alphabet_size)
+
+
+def _target_pred(args, u: Universe) -> Pred | None:
+    """Parse --pred, and refuse --pred or --n where the target's parameter
+    axis is not a predicate or a count."""
+    param = SPECS[args.target].param if args.target in SPECS else None
+    pred = _parse_pred(args.pred, u)
+    if pred is not None and param != "p":
+        raise SystemExit(_usage(f"--pred does not apply to {args.target}"))
+    if getattr(args, "n", None) is not None and param != "n":
+        raise SystemExit(_usage("--n only applies to take"))
+    return pred
 
 
 def _parse_seq(text: str, u: Universe) -> tuple[int, ...]:
@@ -209,53 +217,38 @@ def _list_targets(fmt: str) -> int:
     return 0
 
 
-def _oracle_payload(args, u: Universe, inputs: dict, **outcome) -> dict:
-    payload = {
-        "command": "oracle",
-        "target": args.target,
-        "universe": {"alphabet_size": u.alphabet_size,
-                     "max_len": u.max_len},
-        "inputs": {k: encode_value(v) for k, v in inputs.items()},
-    }
-    payload.update(outcome)
-    payload["tool_version"] = TOOL_VERSION
-    return payload
-
-
 def _run_oracle(args, u: Universe) -> int:
-    pred = _parse_pred(args.pred, u)
-    if pred is not None and args.target not in _PRED_TARGETS:
-        return _usage(f"--pred does not apply to {args.target}")
-    if args.n is not None and args.target != "take":
-        return _usage("--n only applies to take")
+    pred = _target_pred(args, u)
+    param = SPECS[args.target].param
     seqs = [_parse_seq(text, u) for text in args.input]
-    want = 2 if args.target == "zip" else 1
+    # zip, the one combinator without a parameter, takes two sequences
+    want = 1 if param else 2
     if len(seqs) != want:
         return _usage(f"{args.target} oracle takes exactly {want} --input")
     inputs: dict = {"xs": seqs[0]}
-    kwargs: dict = {"xs": seqs[0]}
-    if args.target == "zip":
-        inputs["ys"] = kwargs["ys"] = seqs[1]
-    if args.target == "take":
+    if param is None:
+        inputs["ys"] = seqs[1]
+    elif param == "n":
         if args.n is None:
-            return _usage("take oracle needs --n")
+            return _usage(f"{args.target} oracle needs --n")
         if args.n < 0:
             return _usage("take count must be non-negative")
-        inputs["n"] = kwargs["n"] = args.n
-    elif args.target in _PRED_TARGETS:
-        if pred is None:
-            return _usage(f"{args.target} oracle needs --pred")
-        inputs["pred"] = kwargs["pred"] = pred
+        inputs["n"] = args.n
+    elif pred is None:
+        return _usage(f"{args.target} oracle needs --pred")
+    else:
+        inputs["pred"] = pred
 
+    encoded = {k: encode_value(v) for k, v in inputs.items()}
     try:
-        result = oracle_spec(args.target, u, budget=args.budget, **kwargs)
+        result = oracle_spec(args.target, u, budget=args.budget, **inputs)
     except OracleError as exc:
         if args.format == "json":
             outcome = {"error": str(exc)}
             if isinstance(exc, NoGreatestError):
                 outcome["maxima"] = [encode_value(m) for m in exc.maxima]
-            print(json.dumps(_oracle_payload(args, u, inputs, **outcome),
-                             indent=2))
+            print(json.dumps(_payload("oracle", args.target, u,
+                                      inputs=encoded, **outcome), indent=2))
         else:
             print(f"target: {args.target}")
             print(f"error: {exc}")
@@ -264,9 +257,8 @@ def _run_oracle(args, u: Universe) -> int:
                     print(f"  maximal: {render_value(m)}")
         return 1
     if args.format == "json":
-        payload = _oracle_payload(args, u, inputs,
-                                  result=encode_value(result))
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_payload("oracle", args.target, u, inputs=encoded,
+                                  result=encode_value(result)), indent=2))
     else:
         print(f"target: {args.target}")
         print(f"universe: alphabet={u.alphabet_size} max_len={u.max_len}")
@@ -297,11 +289,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "check-spec":
         if args.target not in SPEC_NAMES:
             return _usage(f"unknown combinator {args.target!r}")
-        pred = _parse_pred(args.pred, u)
-        if pred is not None and args.target not in _PRED_TARGETS:
-            return _usage(f"--pred does not apply to {args.target}")
-        if args.n is not None and args.target != "take":
-            return _usage("--n only applies to take")
+        pred = _target_pred(args, u)
         if args.n is not None and args.n < 0:
             return _usage("take count must be non-negative")
         rep = check_easy_hard(args.target, u, pred=pred, n=args.n, **kw)
@@ -310,9 +298,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "check-gc":
         if args.target not in GC_TARGETS:
             return _usage(f"unknown adjoint pair target {args.target!r}")
-        pred = _parse_pred(args.pred, u)
-        if pred is not None and args.target not in _PRED_TARGETS:
-            return _usage(f"--pred does not apply to {args.target}")
+        pred = _target_pred(args, u)
         rep = check_canonical_gc(args.target, u, pred=pred, **kw)
         return emit_report(args.command, args.target, u, rep, fmt)
 
@@ -346,13 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    except UniverseTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WitnessNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UniverseTooLargeError, WitnessNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,11 +8,17 @@ counterexample is always the violation with the smallest flat index in the
 fixed axis order, and on failure ``cases_checked`` is that violation's
 1-based position.  Every entry point accepts ``workers=`` for compatibility
 and ignores it.
+
+Each target is described once, in ``SPECS`` (a combinator's split
+specification) and ``ADJOINTS`` (an adjoint presentation whose lower map is
+not the identity); the spec, gc, oracle and law checks all read these
+tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from time import perf_counter
 from typing import Callable, Sequence
@@ -42,12 +48,12 @@ from .core import (
     count_seq_lists,
     enum_preds,
     materialize_carrier,
-    nat_bound,
     pred_and,
 )
 from .orders import (
     PAIR_PREFIX,
     PREFIX,
+    PRODUCT,
     SEQ_LIST_PREFIX,
     SEQ_PAIR_PREFIX,
     SUBLIST,
@@ -55,30 +61,79 @@ from .orders import (
     ORDERS,
     OrderDef,
     check_order_laws,
-    is_prefix,
-    is_sublist,
-    is_suffix,
 )
+# Unused here; perfbench/tracing.py wraps these module globals by name.
+from .orders import is_prefix, is_sublist, is_suffix  # noqa: F401
 
 Axis = tuple[tuple[str, ...], list]
 
-SPEC_NAMES = ("dropWhile", "filter", "take", "takeWhile", "zip")
-PAIR_NAMES = ("lines-unlines", "words-unwords")
-GC_TARGETS = tuple(sorted(SPEC_NAMES + PAIR_NAMES))
-LAW_NAMES = (
-    "cancellation-left",
-    "cancellation-right",
-    "fusion",
-    "gc",
-    "idempotent",
-    "indirect-equality",
-    "injective-adjoint",
-    "order-laws",
-    "semi-inverse",
-    "split-append",
-)
 
-_PRED_FAMILIES = ("takeWhile", "filter", "dropWhile")
+@dataclass(frozen=True)
+class Spec:
+    """A combinator's split specification: its output is the greatest
+    candidate under ``order`` that lies below the input and meets the easy
+    condition ``easy(param, y)``, which ``says`` describes.
+
+    ``param`` is the parameter axis: "p" (a predicate), "n" (a count) or
+    None.  ``hard`` is the combinator; ``names`` are the witness names of
+    the input and the candidate when the lower map is the identity.  The
+    spec's candidate ranges over the whole carrier, or over the easy set
+    alone with ``feasible_only`` (when that set is not downward closed).
+    """
+
+    name: str
+    param: str | None
+    order: OrderDef
+    easy: Callable | None
+    hard: Callable
+    says: str
+    names: tuple[str, str] = ("xs", "ys")
+    feasible_only: bool = False
+
+
+@dataclass(frozen=True)
+class Adjoint:
+    """An adjoint presentation ``lower(y) <= x  <=>  y <= upper(x)`` whose
+    lower map is not the identity; x and y range over the carriers of
+    ``order_a`` and ``order_b``.  A combinator's row has no upper map: its
+    hard function, applied to the unpacked x, is the upper map."""
+
+    name: str
+    lower: Callable
+    upper: Callable | None
+    order_a: OrderDef
+    order_b: OrderDef
+    x_names: tuple[str, ...]
+    y_names: tuple[str, ...]
+
+
+SPECS = {s.name: s for s in (
+    Spec("dropWhile", "p", SUFFIX, head_fails, drop_while,
+         "empty or head falsifies {}", ("l", "z"), feasible_only=True),
+    Spec("filter", "p", SUBLIST, all_satisfy, filter_p,
+         "all elements satisfy {}"),
+    Spec("take", "n", PREFIX, lambda n, ys: len(ys) <= n, take_n,
+         "length at most {}"),
+    Spec("takeWhile", "p", PREFIX, all_satisfy, take_while,
+         "all elements satisfy {}"),
+    Spec("zip", None, PAIR_PREFIX, None, zip_pair,
+         "both projections are prefixes of the inputs"),
+)}
+
+ADJOINTS = {a.name: a for a in (
+    Adjoint("lines-unlines", unlines_join, lines_split, PREFIX,
+            SEQ_LIST_PREFIX, ("xs",), ("ws",)),
+    Adjoint("take", lambda ys: (len(ys), ys), None, PRODUCT, PREFIX,
+            ("n", "xs"), ("ys",)),
+    Adjoint("words-unwords", unwords_join, words_split, PREFIX,
+            SEQ_LIST_PREFIX, ("xs",), ("ws",)),
+    Adjoint("zip", unzip_pair, None, SEQ_PAIR_PREFIX, PAIR_PREFIX,
+            ("xs", "ys"), ("zs",)),
+)}
+
+SPEC_NAMES = tuple(sorted(SPECS))
+PAIR_NAMES = tuple(sorted(set(ADJOINTS) - set(SPECS)))
+GC_TARGETS = tuple(sorted(set(SPECS) | set(ADJOINTS)))
 
 
 class WitnessNotFoundError(Exception):
@@ -163,123 +218,22 @@ def merge_reports(law_name: str,
     return CheckReport(law_name, "pass", cases, None, elapsed)
 
 
-def _cached(fn: Callable) -> Callable:
-    """Memoize a hard-side computation on its argument tuple.  The scans
-    revisit the same outer assignment for every candidate, so this turns
-    recomputation into one dict lookup per case."""
-    cache: dict = {}
-    missing = object()
+class _Memo(dict):
+    """``fn``'s value at each argument, computed on the first lookup.  The
+    scans revisit the same input for every candidate; a repeat lookup is a
+    plain dict hit that makes no Python-level call."""
 
-    def wrapped(*args):
-        got = cache.get(args, missing)
-        if got is missing:
-            got = fn(*args)
-            cache[args] = got
-        return got
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
 
-    return wrapped
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _preds_axis(u: Universe, pred: Pred | None) -> list[Pred]:
     return [pred] if pred is not None else list(enum_preds(u))
-
-
-def _nat_axis(u: Universe, n: int | None) -> list[int]:
-    if n is not None:
-        if n < 0:
-            raise ValueError("take count must be non-negative")
-        return [n]
-    return list(range(nat_bound(u) + 1))
-
-
-# ---------------------------------------------------------------------------
-# Split specifications: easy part + ordering against the combinator output.
-
-
-def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
-                    n: int | None = None, hard_fn: Callable | None = None,
-                    budget: int = DEFAULT_BUDGET,
-                    workers: int = 1) -> CheckReport:
-    """Verify a combinator's split specification exhaustively: the easy
-    condition together with the candidate ordering against the input holds
-    exactly when the candidate sits below the combinator's output.
-
-    ``hard_fn`` swaps in an alternative implementation with the same calling
-    convention as the default combinator; the specification itself is
-    unchanged, so this is how a candidate implementation gets validated
-    against the spec (or deliberately broken ones get caught).
-
-    The candidate for dropWhile ranges over sequences whose head already
-    fails the predicate.  The feasible suffixes of an input are not downward
-    closed among all sequences (a short suffix of the result may start with
-    a passing element), but they are downward closed inside that restricted
-    carrier, which is also the carrier the adjoint presentation uses.
-    """
-    law = f"spec:{name}"
-    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
-
-    if name == "takeWhile":
-        hard = _cached(hard_fn or take_while)
-
-        def violates(p, xs, ys):
-            lhs = is_prefix(ys, xs) and all_satisfy(p, ys)
-            return lhs != is_prefix(ys, hard(p, xs))
-
-        axes = [(("p",), _preds_axis(u, pred)), (("xs",), seqs),
-                (("ys",), seqs)]
-        return run_check(law, axes, violates, budget=budget, workers=workers)
-
-    if name == "take":
-        hard = _cached(hard_fn or take_n)
-
-        def violates(n_, xs, ys):
-            lhs = len(ys) <= n_ and is_prefix(ys, xs)
-            return lhs != is_prefix(ys, hard(n_, xs))
-
-        axes = [(("n",), _nat_axis(u, n)), (("xs",), seqs), (("ys",), seqs)]
-        return run_check(law, axes, violates, budget=budget, workers=workers)
-
-    if name == "filter":
-        hard = _cached(hard_fn or filter_p)
-
-        def violates(p, xs, ys):
-            lhs = is_sublist(ys, xs) and all_satisfy(p, ys)
-            return lhs != is_sublist(ys, hard(p, xs))
-
-        axes = [(("p",), _preds_axis(u, pred)), (("xs",), seqs),
-                (("ys",), seqs)]
-        return run_check(law, axes, violates, budget=budget, workers=workers)
-
-    if name == "dropWhile":
-        hard = _cached(hard_fn or drop_while)
-        parts = []
-        for p in _preds_axis(u, pred):
-            candidates = [z for z in seqs if head_fails(p, z)]
-            axes = [(("l",), seqs), (("z",), candidates)]
-
-            def violates(l, z, _p=p):
-                lhs = head_fails(_p, z) and is_suffix(z, l)
-                return lhs != is_suffix(z, hard(_p, l))
-
-            rep = run_check(law, axes, violates, budget=budget,
-                            workers=workers)
-            parts.append(((("p", p),), rep))
-        return merge_reports(law, parts)
-
-    if name == "zip":
-        hard = _cached(hard_fn or zip_pair)
-        pair_seqs = materialize_carrier(Carrier(CarrierKind.PAIR_SEQ), u)
-        proj = {zs: unzip_pair(zs) for zs in pair_seqs}
-
-        def violates(xs, ys, zs):
-            a, b = proj[zs]
-            lhs = is_prefix(a, xs) and is_prefix(b, ys)
-            return lhs != is_prefix(zs, hard(xs, ys))
-
-        axes = [(("xs",), seqs), (("ys",), seqs), (("zs",), pair_seqs)]
-        return run_check(law, axes, violates, budget=budget, workers=workers)
-
-    raise ValueError(f"unknown split specification {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,75 +255,94 @@ class CanonicalGC:
     y_axis: Axis
 
 
+def _parts(name: str, u: Universe, pred: Pred | None = None,
+           n: int | None = None, hard: Callable | None = None,
+           spec: bool = False) -> list[tuple[tuple, CanonicalGC, set | None]]:
+    """The instances a gc check of ``name`` runs, in order, as (bindings,
+    instance, feasible), with ``hard`` (by default the combinator) as the
+    upper map.  A target without an ``ADJOINTS`` row has the identity as
+    lower map and one instance per predicate, whose candidate ranges over
+    the easy set.  For a ``spec`` that ranges it over the whole carrier,
+    ``feasible`` is the easy set, which the left side then also requires.
+    """
+    s, adj = SPECS.get(name), ADJOINTS.get(name)
+    if s is None and adj is None:
+        raise ValueError(f"no adjoint presentation for target {name!r}")
+    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
+    hard = hard or (s and s.hard)
+    if adj is None:
+        whole = spec and not s.feasible_only
+        parts = []
+        for p in _preds_axis(u, pred):
+            easy = [y for y in seqs if s.easy(p, y)]
+            gc = CanonicalGC(name, lambda y: y, partial(hard, p), s.order,
+                             s.order, ((s.names[0],), seqs),
+                             ((s.names[1],), seqs if whole else easy))
+            parts.append(((("p", p),), gc, set(easy) if whole else None))
+        return parts
+
+    def carrier(o: OrderDef) -> list:
+        if o.carrier.kind is CarrierKind.SEQ:
+            return seqs
+        return materialize_carrier(o.carrier, u)
+
+    if n is not None and s.param == "n":
+        if n < 0:
+            raise ValueError("take count must be non-negative")
+        xs = [(n, x) for x in seqs]
+    else:
+        xs = carrier(adj.order_a)
+    gc = CanonicalGC(name, adj.lower, adj.upper or (lambda v: hard(*v)),
+                     adj.order_a, adj.order_b, (adj.x_names, xs),
+                     (adj.y_names, carrier(adj.order_b)))
+    return [((), gc, None)]
+
+
 def build_gcs(name: str, u: Universe,
               pred: Pred | None = None) -> list[tuple[tuple, CanonicalGC]]:
     """The canonical adjoint presentations for a named target, paired with
     the bindings (predicate choice) that select each instance."""
-    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
+    return [(bindings, gc) for bindings, gc, _ in _parts(name, u, pred)]
 
-    if name in _PRED_FAMILIES:
-        order, restrict_of, upper_of, y_name = {
-            "takeWhile": (PREFIX,
-                          lambda p: (lambda ys: all_satisfy(p, ys)),
-                          lambda p: (lambda ys: take_while(p, ys)), "ys"),
-            "filter": (SUBLIST,
-                       lambda p: (lambda ys: all_satisfy(p, ys)),
-                       lambda p: (lambda ys: filter_p(p, ys)), "ys"),
-            "dropWhile": (SUFFIX,
-                          lambda p: (lambda z: head_fails(p, z)),
-                          lambda p: (lambda l: drop_while(p, l)), "z"),
-        }[name]
-        out = []
-        for p in _preds_axis(u, pred):
-            keep = restrict_of(p)
-            sub = [ys for ys in seqs if keep(ys)]
-            x_name = "l" if name == "dropWhile" else "xs"
-            gc = CanonicalGC(name, lambda y: y, upper_of(p), order, order,
-                             ((x_name,), seqs), ((y_name,), sub))
-            out.append(((("p", p),), gc))
-        return out
 
-    if name == "take":
-        pairs = materialize_carrier(Carrier(CarrierKind.NAT_SEQ), u)
-        gc = CanonicalGC(
-            name, lambda ys: (len(ys), ys), lambda v: take_n(v[0], v[1]),
-            ORDERS["product"], PREFIX, (("n", "xs"), pairs), (("ys",), seqs))
-        return [((), gc)]
+def _check_instance(law: str, gc: CanonicalGC, feasible: set | None, *,
+                    budget: int, workers: int) -> CheckReport:
+    """The defining equivalence of ``gc`` over the product of its carriers;
+    with ``feasible``, a candidate outside it has a false left side."""
+    leq_a, leq_b = gc.order_a.leq, gc.order_b.leq
+    low, up = _Memo(gc.lower), _Memo(gc.upper)
 
-    if name == "zip":
-        seq_pairs = materialize_carrier(Carrier(CarrierKind.SEQ_PAIR), u)
-        pair_seqs = materialize_carrier(Carrier(CarrierKind.PAIR_SEQ), u)
-        gc = CanonicalGC(
-            name, unzip_pair, lambda v: zip_pair(v[0], v[1]),
-            SEQ_PAIR_PREFIX, PAIR_PREFIX,
-            (("xs", "ys"), seq_pairs), (("zs",), pair_seqs))
-        return [((), gc)]
+    if feasible is None:
+        def violates(x, y):
+            return leq_a(low[y], x) != leq_b(y, up[x])
+    else:
+        def violates(x, y):
+            return (y in feasible and leq_a(low[y], x)) != leq_b(y, up[x])
 
-    if name in PAIR_NAMES:
-        join, split = ((unwords_join, words_split)
-                       if name == "words-unwords"
-                       else (unlines_join, lines_split))
-        lists = materialize_carrier(Carrier(CarrierKind.SEQ_LIST), u)
-        gc = CanonicalGC(name, join, split, PREFIX, SEQ_LIST_PREFIX,
-                         (("xs",), seqs), (("ws",), lists))
-        return [((), gc)]
-
-    raise ValueError(f"no adjoint presentation for target {name!r}")
+    return run_check(law, [gc.x_axis, gc.y_axis], violates,
+                     budget=budget, workers=workers)
 
 
 def check_gc_instance(gc: CanonicalGC, *, budget: int = DEFAULT_BUDGET,
                       workers: int = 1) -> CheckReport:
     """Check the defining equivalence of one adjunction candidate over the
     full product of its two carriers."""
-    leq_a, leq_b = gc.order_a.leq, gc.order_b.leq
-    low = _cached(lambda y: gc.lower(y))
-    up = _cached(lambda x: gc.upper(x))
+    return _check_instance(f"gc:{gc.name}", gc, None, budget=budget,
+                           workers=workers)
 
-    def violates(x, y):
-        return leq_a(low(y), x) != leq_b(y, up(x))
 
-    return run_check(f"gc:{gc.name}", [gc.x_axis, gc.y_axis], violates,
-                     budget=budget, workers=workers)
+def _check_parts(law: str, parts: list, budget: int,
+                 workers: int) -> CheckReport:
+    """Run the parts in order until one fails, merged into one report.  The
+    budget covers all of them and is checked before the first one runs."""
+    projected = sum(len(gc.x_axis[1]) * len(gc.y_axis[1])
+                    for _, gc, _ in parts)
+    if projected > budget:
+        raise UniverseTooLargeError(projected, budget, law)
+    return merge_reports(law, (
+        (bindings, _check_instance(law, gc, feasible, budget=budget,
+                                   workers=workers))
+        for bindings, gc, feasible in parts))
 
 
 def check_canonical_gc(name: str, u: Universe, *, pred: Pred | None = None,
@@ -377,10 +350,43 @@ def check_canonical_gc(name: str, u: Universe, *, pred: Pred | None = None,
                        workers: int = 1) -> CheckReport:
     """Check the defining equivalence of the adjunction for every instance
     the target generates."""
-    parts = [(bindings, check_gc_instance(gc, budget=budget,
-                                          workers=workers))
-             for bindings, gc in build_gcs(name, u, pred)]
-    return merge_reports(f"gc:{name}", parts)
+    parts = [(bindings, gc, None) for bindings, gc in build_gcs(name, u, pred)]
+    return _check_parts(f"gc:{name}", parts, budget, workers)
+
+
+# ---------------------------------------------------------------------------
+# Split specifications: easy part + ordering against the combinator output.
+
+
+def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
+                    n: int | None = None, hard_fn: Callable | None = None,
+                    budget: int = DEFAULT_BUDGET,
+                    workers: int = 1) -> CheckReport:
+    """Verify a combinator's split specification exhaustively: the easy
+    condition together with the candidate ordering against the input holds
+    exactly when the candidate sits below the combinator's output.
+
+    ``hard_fn`` swaps in an alternative implementation with the same calling
+    convention as the default combinator; the specification itself is
+    unchanged, so this is how a candidate implementation gets validated
+    against the spec (or deliberately broken ones get caught).
+
+    For take, zip and dropWhile the specification is the defining
+    equivalence of the adjunction, with the same axes in the same order.
+    For takeWhile and filter it is that equivalence with the candidate over
+    the whole carrier and the easy condition added to the left side.
+
+    The candidate for dropWhile ranges over sequences whose head already
+    fails the predicate.  The feasible suffixes of an input are not downward
+    closed among all sequences (a short suffix of the result may start with
+    a passing element), but they are downward closed inside that restricted
+    carrier, which is also the carrier the adjoint presentation uses.
+    """
+    if name not in SPECS:
+        raise ValueError(f"unknown split specification {name!r}")
+    return _check_parts(f"spec:{name}",
+                        _parts(name, u, pred, n, hard_fn, spec=True),
+                        budget, workers)
 
 
 def check_cancellation(name: str, u: Universe, side: str, *,
@@ -483,10 +489,10 @@ def check_idempotent(name: str, u: Universe, *, pred: Pred | None = None,
                      workers: int = 1) -> CheckReport:
     """Applying the combinator twice with the same predicate changes
     nothing after the first application."""
-    fn = {"takeWhile": take_while, "filter": filter_p,
-          "dropWhile": drop_while}.get(name)
-    if fn is None:
+    spec = SPECS.get(name)
+    if spec is None or spec.param != "p":
         raise ValueError(f"idempotency does not apply to {name!r}")
+    fn = spec.hard
     seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
 
     def violates(p, xs):
@@ -565,8 +571,7 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
     carrier holds more than ``budget`` word lists."""
     if name not in PAIR_NAMES:
         raise ValueError(f"not a splitter/joiner pair: {name!r}")
-    join, split = ((unwords_join, words_split) if name == "words-unwords"
-                   else (unlines_join, lines_split))
+    join, split = ADJOINTS[name].lower, ADJOINTS[name].upper
     law = f"non-gc:{name}"
     size = count_seq_lists(u)
     if size > budget:
@@ -605,47 +610,36 @@ def order_laws_report(order_name: str, u: Universe, *,
     return merged, rep.least_element
 
 
+# law -> (binding name, targets in order, check of one target)
+_LAW_TARGETS = {
+    "order-laws": ("order", sorted(ORDERS),
+                   lambda t, u, **kw: order_laws_report(t, u, **kw)[0]),
+    "gc": ("connection", SPEC_NAMES, check_canonical_gc),
+    "cancellation-left": ("connection", SPEC_NAMES,
+                          partial(check_cancellation, side="left")),
+    "cancellation-right": ("connection", SPEC_NAMES,
+                           partial(check_cancellation, side="right")),
+    "semi-inverse": ("connection", SPEC_NAMES, check_semi_inverse),
+    "injective-adjoint": ("connection", SPEC_NAMES, check_injective_adjoint),
+    "idempotent": ("combinator",
+                   [s for s in SPEC_NAMES if SPECS[s].param == "p"],
+                   check_idempotent),
+    "indirect-equality": ("order", ("prefix", "sublist"),
+                          check_indirect_equality),
+}
+_WHOLE_LAWS = {"fusion": check_fusion, "split-append": check_split_append}
+LAW_NAMES = tuple(sorted([*_LAW_TARGETS, *_WHOLE_LAWS]))
+
+
 def check_law(law: str, u: Universe, *, budget: int = DEFAULT_BUDGET,
               workers: int = 1) -> CheckReport:
     """Run one named law across every target it applies to, in sorted
     target order, aggregated into a single report."""
     kw = {"budget": budget, "workers": workers}
-
-    if law == "order-laws":
-        parts = []
-        for oname in sorted(ORDERS):
-            rep, _ = order_laws_report(oname, u, **kw)
-            parts.append(((("order", oname),), rep))
-        return merge_reports(law, parts)
-    if law == "gc":
-        parts = [((("connection", s),), check_canonical_gc(s, u, **kw))
-                 for s in SPEC_NAMES]
-        return merge_reports(law, parts)
-    if law in ("cancellation-left", "cancellation-right"):
-        side = law.split("-")[1]
-        parts = [((("connection", s),),
-                  check_cancellation(s, u, side, **kw))
-                 for s in SPEC_NAMES]
-        return merge_reports(law, parts)
-    if law == "semi-inverse":
-        parts = [((("connection", s),), check_semi_inverse(s, u, **kw))
-                 for s in SPEC_NAMES]
-        return merge_reports(law, parts)
-    if law == "injective-adjoint":
-        parts = [((("connection", s),), check_injective_adjoint(s, u, **kw))
-                 for s in SPEC_NAMES]
-        return merge_reports(law, parts)
-    if law == "idempotent":
-        parts = [((("combinator", c),), check_idempotent(c, u, **kw))
-                 for c in sorted(_PRED_FAMILIES)]
-        return merge_reports(law, parts)
-    if law == "fusion":
-        return check_fusion(u, **kw)
-    if law == "indirect-equality":
-        parts = [((("order", oname),),
-                  check_indirect_equality(oname, u, **kw))
-                 for oname in ("prefix", "sublist")]
-        return merge_reports(law, parts)
-    if law == "split-append":
-        return check_split_append(u, **kw)
-    raise ValueError(f"unknown law {law!r}")
+    if law in _WHOLE_LAWS:
+        return _WHOLE_LAWS[law](u, **kw)
+    if law not in _LAW_TARGETS:
+        raise ValueError(f"unknown law {law!r}")
+    key, targets, check = _LAW_TARGETS[law]
+    return merge_reports(law, ((((key, t),), check(t, u, **kw))
+                               for t in targets))

@@ -164,16 +164,13 @@ class CarrierKind(Enum):
     NAT_SEQ = "nat-seq"
     SEQ_PAIR = "seq-pair"
     SEQ_LIST = "seq-list"
-    PRED_SEQ = "pred-seq"
 
 
 @dataclass(frozen=True)
 class Carrier:
-    """What a quantifier ranges over: a base enumeration plus an optional
-    membership restriction."""
+    """What a quantifier ranges over."""
 
     kind: CarrierKind
-    restrict: Callable[[object], bool] | None = None
 
 
 def nat_bound(u: Universe) -> int:
@@ -181,44 +178,28 @@ def nat_bound(u: Universe) -> int:
     return u.max_len + 1
 
 
-def _raw_stream(kind: CarrierKind, u: Universe) -> Iterator[object]:
-    if kind is CarrierKind.SEQ:
-        return enum_seqs(u)
-    if kind is CarrierKind.PAIR_SEQ:
-        return enum_pair_seqs(u)
-    if kind is CarrierKind.NAT_SEQ:
-        return ((n, xs) for n in range(nat_bound(u) + 1) for xs in enum_seqs(u))
-    if kind is CarrierKind.SEQ_PAIR:
-        return ((xs, ys) for xs in enum_seqs(u) for ys in enum_seqs(u))
-    if kind is CarrierKind.SEQ_LIST:
-        return enum_seq_lists(u)
-    if kind is CarrierKind.PRED_SEQ:
-        return ((p, xs) for p in enum_preds(u) for xs in enum_seqs(u))
-    raise ValueError(f"unknown carrier kind {kind!r}")
+# kind -> (enumeration, exact size)
+_CARRIERS = {
+    CarrierKind.SEQ: (enum_seqs, count_seqs),
+    CarrierKind.PAIR_SEQ: (enum_pair_seqs, count_pair_seqs),
+    CarrierKind.NAT_SEQ: (
+        lambda u: ((n, xs) for n in range(nat_bound(u) + 1)
+                   for xs in enum_seqs(u)),
+        lambda u: (nat_bound(u) + 1) * count_seqs(u)),
+    CarrierKind.SEQ_PAIR: (
+        lambda u: ((xs, ys) for xs in enum_seqs(u) for ys in enum_seqs(u)),
+        lambda u: count_seqs(u) ** 2),
+    CarrierKind.SEQ_LIST: (enum_seq_lists, count_seq_lists),
+}
 
 
 def enumerate_carrier(c: Carrier, u: Universe) -> Iterator[object]:
-    stream = _raw_stream(c.kind, u)
-    if c.restrict is None:
-        return stream
-    return (v for v in stream if c.restrict(v))
+    return _CARRIERS[c.kind][0](u)
 
 
 def carrier_size_upper(c: Carrier, u: Universe) -> int:
-    """Size of the unrestricted carrier; an upper bound when restricted."""
-    if c.kind is CarrierKind.SEQ:
-        return count_seqs(u)
-    if c.kind is CarrierKind.PAIR_SEQ:
-        return count_pair_seqs(u)
-    if c.kind is CarrierKind.NAT_SEQ:
-        return (nat_bound(u) + 1) * count_seqs(u)
-    if c.kind is CarrierKind.SEQ_PAIR:
-        return count_seqs(u) ** 2
-    if c.kind is CarrierKind.SEQ_LIST:
-        return count_seq_lists(u)
-    if c.kind is CarrierKind.PRED_SEQ:
-        return (1 << u.alphabet_size) * count_seqs(u)
-    raise ValueError(f"unknown carrier kind {c.kind!r}")
+    """Number of elements in the carrier."""
+    return _CARRIERS[c.kind][1](u)
 
 
 def materialize_carrier(c: Carrier, u: Universe,

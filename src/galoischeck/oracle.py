@@ -11,7 +11,7 @@ implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -23,8 +23,10 @@ from .core import (
     enum_pair_seqs,
     enumerate_carrier,
 )
-from .orders import PAIR_PREFIX, PREFIX, SUBLIST, SUFFIX, OrderDef
-from .combinators import head_fails
+# Unused here; perfbench/tracing.py wraps this module global by name.
+from .combinators import head_fails  # noqa: F401
+from .connections import ADJOINTS, SPECS
+from .orders import OrderDef
 
 
 class OracleError(Exception):
@@ -102,47 +104,27 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
     The search walks the order's whole carrier, so it refuses upfront when
     that carrier holds more than ``budget`` elements.
     """
-    if name == "takeWhile":
-        if xs is None or pred is None:
-            raise ValueError("takeWhile oracle needs xs and pred")
-        order, x = PREFIX, xs
-        easy = EasyCondition(lambda v, _x: all(pred(e) for e in v),
-                             f"all elements satisfy {pred.bits()}")
-    elif name == "take":
-        if xs is None or n is None:
-            raise ValueError("take oracle needs xs and n")
-        order, x = PREFIX, xs
-        easy = EasyCondition(lambda v, _x: len(v) <= n,
-                             f"length at most {n}")
-    elif name == "filter":
-        if xs is None or pred is None:
-            raise ValueError("filter oracle needs xs and pred")
-        order, x = SUBLIST, xs
-        easy = EasyCondition(lambda v, _x: all(pred(e) for e in v),
-                             f"all elements satisfy {pred.bits()}")
-    elif name == "dropWhile":
-        if xs is None or pred is None:
-            raise ValueError("dropWhile oracle needs xs and pred")
-        order, x = SUFFIX, xs
-        easy = EasyCondition(lambda v, _x: head_fails(pred, v),
-                             f"empty or head falsifies {pred.bits()}")
-    elif name == "zip":
-        if xs is None or ys is None:
-            raise ValueError("zip oracle needs xs and ys")
-
-        def holds(zs, x) -> bool:
-            a, b = x
-            return (all(zs[i][0] == a[i] for i in range(len(zs)))
-                    and all(zs[i][1] == b[i] for i in range(len(zs))))
-
-        order, x = PAIR_PREFIX, (xs, ys)
-        easy = EasyCondition(
-            holds, "both projections are prefixes of the inputs")
-    else:
+    spec = SPECS.get(name)
+    if spec is None:
         raise ValueError(f"no oracle for combinator {name!r}")
+    # The second input is the parameter, or for zip the second sequence.
+    arg_name, arg = {"p": ("pred", pred), "n": ("n", n)}.get(
+        spec.param, ("ys", ys))
+    if xs is None or arg is None:
+        raise ValueError(f"{name} oracle needs xs and {arg_name}")
+    if spec.easy is None:
+        # zip's easy condition reads the input: unzip zs <= (xs, ys)
+        leq, lower = ADJOINTS[name].order_a.leq, ADJOINTS[name].lower
+        x = (xs, ys)
+        easy = EasyCondition(lambda v, x_: leq(lower(v), x_), spec.says)
+    else:
+        x = xs
+        shown = arg.bits() if spec.param == "p" else arg
+        easy = EasyCondition(lambda v, _x: spec.easy(arg, v),
+                             spec.says.format(shown))
 
-    size = carrier_size_upper(order.carrier, u)
+    size = carrier_size_upper(spec.order.carrier, u)
     if size > budget:
         raise UniverseTooLargeError(size, budget, f"oracle:{name}")
-    candidates = _zip_candidates(xs, ys, u) if name == "zip" else None
-    return best_under(order, easy, x, u, candidates=candidates)
+    candidates = _zip_candidates(xs, ys, u) if spec.easy is None else None
+    return best_under(spec.order, easy, x, u, candidates=candidates)

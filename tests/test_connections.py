@@ -91,6 +91,21 @@ def test_spec_case_counts_are_frozen():
     assert check_easy_hard("zip", Universe(2, 2)).cases_checked == 1029
 
 
+@pytest.mark.parametrize("check,name,u,small,total", [
+    (check_easy_hard, "takeWhile", Universe(2, 4), 1000, 3844),
+    (check_canonical_gc, "takeWhile", Universe(2, 4), 1000, 1302),
+    (check_easy_hard, "dropWhile", Universe(2, 5), 5000, 8064),
+])
+def test_spec_and_gc_budget_the_whole_check(check, name, u, small, total):
+    # one part per predicate, but the budget covers all of them, upfront
+    for budget in (small, total - 1):
+        with pytest.raises(UniverseTooLargeError) as exc:
+            check(name, u, budget=budget)
+        assert exc.value.projected == total
+    rep = check(name, u, budget=total)
+    assert rep.ok and rep.cases_checked == total
+
+
 def test_spec_catches_broken_take_while():
     rep = check_easy_hard("takeWhile", Universe(1, 1), pred=Pred(0, 1),
                           hard_fn=lambda p, xs: xs)

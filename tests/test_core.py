@@ -150,16 +150,6 @@ def test_composite_carriers_sizes_and_order():
     assert len(seq_pair) == 49
     assert seq_pair[1] == ((), (0,))  # xs-major
 
-    pred_seq = list(enumerate_carrier(Carrier(CarrierKind.PRED_SEQ), u))
-    assert len(pred_seq) == 4 * 7
-    assert pred_seq[0] == (Pred(0, 2), ())
-
-
-def test_carrier_restriction_filters():
-    u = Universe(2, 3)
-    short = Carrier(CarrierKind.SEQ, restrict=lambda s: len(s) <= 1)
-    assert materialize_carrier(short, u) == [(), (0,), (1,)]
-
 
 def test_materialize_cap_enforced():
     with pytest.raises(UniverseTooLargeError) as exc:

@@ -1,0 +1,266 @@
+"""Spec and gc checks against a plain nested-loop reference, on the real
+combinators and on wrong ones.
+
+The reference loops over each law's quantifiers in the documented order,
+with its own enumeration and relations: the predicate or count outermost,
+then the input, then the candidate.  It returns the verdict, the number of
+cases up to and including the first violation (all of them on a pass) and
+that violation's bindings, which the engine must reproduce exactly.
+
+Every wrong combinator here must be rejected.  The catalogue mutants are
+the classic slips; the seeded ones differ from the real combinator on one
+input only, and their wrong output is drawn from the candidates both laws
+range over (the easy set for the predicate families), where antisymmetry of
+the order forces a law that holds to pin the output.  So none of them can
+survive as an equivalent mutant.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+from galoischeck import (
+    Pred,
+    Universe,
+    build_gcs,
+    check_canonical_gc,
+    check_easy_hard,
+    check_gc_instance,
+    drop_while,
+    filter_p,
+    merge_reports,
+    take_n,
+    take_while,
+    zip_pair,
+)
+
+NAMES = ("dropWhile", "filter", "take", "takeWhile", "zip")
+REAL = {"dropWhile": drop_while, "filter": filter_p, "take": take_n,
+        "takeWhile": take_while, "zip": zip_pair}
+UNIVERSES = {name: ((2, 3), (3, 2)) for name in NAMES}
+UNIVERSES["zip"] = ((2, 2), (2, 3))
+SEEDED_PER_UNIVERSE = 10
+
+
+# --- the reference ----------------------------------------------------------
+
+
+def seqs(k, L):
+    return [s for n in range(L + 1)
+            for s in itertools.product(range(k), repeat=n)]
+
+
+def pair_seqs(k, L):
+    pairs = list(itertools.product(range(k), repeat=2))
+    return [s for n in range(L + 1) for s in itertools.product(pairs, repeat=n)]
+
+
+def preds(k):
+    return [Pred(mask, k) for mask in range(1 << k)]
+
+
+def prefix(a, b):
+    return b[:len(a)] == a
+
+
+def suffix(a, b):
+    return len(a) <= len(b) and b[len(b) - len(a):] == a
+
+
+def sublist(a, b):
+    rest = iter(b)
+    return all(e in rest for e in a)
+
+
+def all_pass(p, ys):
+    return all(p(e) for e in ys)
+
+
+def head_fails(p, z):
+    return not z or not p(z[0])
+
+
+# name -> (order, easy condition, input name, candidate name)
+FAMILIES = {
+    "takeWhile": (prefix, all_pass, "xs", "ys"),
+    "filter": (sublist, all_pass, "xs", "ys"),
+    "dropWhile": (suffix, head_fails, "l", "z"),
+}
+
+
+def spec_cases(name, k, L, hard):
+    """(bindings, left side, right side) of the split specification
+    ``easy and candidate <= input  <=>  candidate <= hard(input)``, in scan
+    order.  dropWhile's candidate ranges over the sequences whose head fails
+    the predicate, the others' over the whole carrier."""
+    S = seqs(k, L)
+    if name in FAMILIES:
+        leq, easy, x_name, y_name = FAMILIES[name]
+        for p in preds(k):
+            for x in S:
+                out = hard(p, x)
+                for y in S:
+                    if name == "dropWhile" and not easy(p, y):
+                        continue
+                    yield (((("p", p), (x_name, x), (y_name, y))),
+                           easy(p, y) and leq(y, x), leq(y, out))
+    elif name == "take":
+        for n in range(L + 2):
+            for xs in S:
+                out = hard(n, xs)
+                for ys in S:
+                    yield ((("n", n), ("xs", xs), ("ys", ys)),
+                           len(ys) <= n and prefix(ys, xs), prefix(ys, out))
+    else:
+        for xs in S:
+            for ys in S:
+                out = hard(xs, ys)
+                for zs in pair_seqs(k, L):
+                    left = tuple(a for a, _ in zs)
+                    right = tuple(b for _, b in zs)
+                    yield ((("xs", xs), ("ys", ys), ("zs", zs)),
+                           prefix(left, xs) and prefix(right, ys),
+                           prefix(zs, out))
+
+
+def gc_cases(name, k, L, hard):
+    """The adjunction ``lower y <= x  <=>  y <= upper x`` with upper the
+    combinator.  The predicate families have the identity as lower map and
+    their candidate ranges over the easy set; written out for take (lower
+    ``ys -> (len ys, ys)`` under count-and-prefix) and zip (lower unzip under
+    componentwise prefix) it is the split specification itself."""
+    if name not in FAMILIES:
+        yield from spec_cases(name, k, L, hard)
+        return
+    leq, easy, x_name, y_name = FAMILIES[name]
+    S = seqs(k, L)
+    for p in preds(k):
+        feasible = [y for y in S if easy(p, y)]
+        for x in S:
+            out = hard(p, x)
+            for y in feasible:
+                yield ((("p", p), (x_name, x), (y_name, y)),
+                       leq(y, x), leq(y, out))
+
+
+def reference(cases):
+    n = 0
+    for bindings, lhs, rhs in cases:
+        n += 1
+        if lhs != rhs:
+            return "fail", n, bindings
+    return "pass", n, None
+
+
+# --- the engine under test --------------------------------------------------
+
+
+def outcome(rep):
+    return rep.verdict, rep.cases_checked, rep.counterexample
+
+
+def engine_spec(name, k, L, hard):
+    return outcome(check_easy_hard(name, Universe(k, L), hard_fn=hard))
+
+
+def engine_gc(name, k, L, hard):
+    """Every instance build_gcs makes, with hard as its upper map."""
+    parts = []
+    for bindings, gc in build_gcs(name, Universe(k, L)):
+        if bindings:
+            upper = (lambda p: lambda x: hard(p, x))(bindings[0][1])
+        else:
+            def upper(v):
+                return hard(*v)
+        parts.append((bindings, check_gc_instance(
+            dataclasses.replace(gc, upper=upper))))
+    return outcome(merge_reports(f"gc:{name}", parts))
+
+
+def agree(name, k, L, hard):
+    """Engine and reference outcomes on both laws; returns the verdicts."""
+    spec = reference(spec_cases(name, k, L, hard))
+    assert engine_spec(name, k, L, hard) == spec
+    gc = reference(gc_cases(name, k, L, hard))
+    assert engine_gc(name, k, L, hard) == gc
+    return spec[0], gc[0]
+
+
+CASES = [(name, u) for name in NAMES for u in UNIVERSES[name]]
+
+
+@pytest.mark.parametrize("name,u", CASES)
+def test_real_combinators_match_reference(name, u):
+    k, L = u
+    assert agree(name, k, L, REAL[name]) == ("pass", "pass")
+    assert (outcome(check_canonical_gc(name, Universe(k, L)))
+            == reference(gc_cases(name, k, L, REAL[name])))
+
+
+# --- the catalogue ----------------------------------------------------------
+
+
+def _flipped_take_while(p, xs):
+    return take_while(Pred(~p.mask & ((1 << p.alphabet_size) - 1),
+                           p.alphabet_size), xs)
+
+
+CATALOGUE = {
+    "take-off-by-one": ("take", lambda n, xs: xs[:n + 1]),
+    "takeWhile-polarity-flipped": ("takeWhile", _flipped_take_while),
+    "filter-drops-last-kept": ("filter", lambda p, xs: filter_p(p, xs)[:-1]),
+    "filter-stops-at-first-failure": ("filter", take_while),
+    "dropWhile-drops-one-more": ("dropWhile",
+                                 lambda p, l: drop_while(p, l)[1:]),
+    "zip-pads-with-0": ("zip", lambda xs, ys: tuple(
+        itertools.zip_longest(xs, ys, fillvalue=0))),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(CATALOGUE))
+def test_catalogue_mutants_are_rejected(mutant):
+    name, hard = CATALOGUE[mutant]
+    for k, L in UNIVERSES[name]:
+        assert agree(name, k, L, hard) == ("fail", "fail"), (mutant, k, L)
+
+
+# --- seeded single-point mutants --------------------------------------------
+
+
+def _trigger(rng, name, k, L):
+    """A random input of the combinator, and the candidates its output can
+    be wrongly replaced with."""
+    S = seqs(k, L)
+    if name in FAMILIES:
+        _, easy, _, _ = FAMILIES[name]
+        p = rng.choice(preds(k))
+        return (p, rng.choice(S)), [y for y in S if easy(p, y)]
+    if name == "take":
+        return (rng.randrange(L + 2), rng.choice(S)), S
+    return (rng.choice(S), rng.choice(S)), pair_seqs(k, L)
+
+
+def seeded_mutants(name, k, L):
+    rng = random.Random(f"{name}/{k}/{L}")
+    real = REAL[name]
+    out = []
+    while len(out) < SEEDED_PER_UNIVERSE:
+        trigger, candidates = _trigger(rng, name, k, L)
+        wrong = [c for c in candidates if c != real(*trigger)]
+        if not wrong:
+            continue
+        bad = rng.choice(wrong)
+
+        def hard(*args, _trigger=trigger, _bad=bad):
+            return _bad if args == _trigger else real(*args)
+        out.append((trigger, bad, hard))
+    return out
+
+
+@pytest.mark.parametrize("name,u", CASES)
+def test_seeded_mutants_are_rejected(name, u):
+    k, L = u
+    for trigger, bad, hard in seeded_mutants(name, k, L):
+        assert agree(name, k, L, hard) == ("fail", "fail"), (trigger, bad)
