@@ -2,12 +2,13 @@
 consequences that follow from them.
 
 Every check reduces to scanning a cartesian product of finite axes for the
-first violation of a boolean condition.  The shared engine scans
-sequentially and keeps witness selection deterministic: the reported
-counterexample is always the violation with the smallest flat index in the
-fixed axis order, and on failure ``cases_checked`` is that violation's
-1-based position.  Every entry point accepts ``workers=`` for compatibility
-and ignores it.
+first violation of a boolean condition.  The shared engine scans a row (one
+assignment of the outer axes against the whole last axis) at a time through
+C-level ``map`` iterators, and keeps witness selection deterministic: the
+reported counterexample is always the violation with the smallest flat
+index in the fixed axis order, and on failure ``cases_checked`` is that
+violation's 1-based position.  Every entry point accepts ``workers=`` for
+compatibility and ignores it.
 
 Each target is described once, in ``SPECS`` (a combinator's split
 specification) and ``ADJOINTS`` (an adjoint presentation whose lower map is
@@ -17,9 +18,11 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import compress, count, product, repeat
+from math import prod
+from operator import and_, ne
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -144,54 +147,54 @@ def _flatten_bindings(axes: Sequence[Axis], values: Sequence) -> tuple:
     """Pair axis variable names with a concrete value assignment.  An axis
     whose name tuple has several entries holds composite values that are
     unpacked positionally."""
-    out = []
-    for (names, _), val in zip(axes, values):
-        if len(names) == 1:
-            out.append((names[0], val))
-        else:
-            out.extend(zip(names, val))
-    return tuple(out)
+    return tuple(pair for (names, _), val in zip(axes, values) for pair in
+                 (zip(names, val) if len(names) > 1 else [(names[0], val)]))
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A two-axis law scanned a row at a time: ``start()``, run once the
+    budget allows the scan, returns ``first(x)``, the index of the first
+    violation in x's row or None."""
+    start: Callable
 
 
 def _scan(axes: Sequence[Axis],
-          violates: Callable) -> tuple[int, tuple] | None:
+          violates: Callable | _Rows) -> tuple[int, tuple] | None:
     """First violation in lexicographic axis order, as (flat index,
-    bindings), or None."""
-    outer = axes[0][1]
-    inner_axes = [vals for _, vals in axes[1:]]
-    inner_total = 1
-    for vals in inner_axes:
-        inner_total *= len(vals)
-    for i, v0 in enumerate(outer):
-        if inner_axes:
-            for j, rest in enumerate(product(*inner_axes)):
-                if violates(v0, *rest):
-                    return (i * inner_total + j,
-                            _flatten_bindings(axes, (v0, *rest)))
-        elif violates(v0):
-            return i, _flatten_bindings(axes, (v0,))
+    bindings), or None.  A per-case ``violates`` is mapped lazily along each
+    row, so it runs exactly up to the first violation."""
+    *outer, last = [vals for _, vals in axes]
+    if isinstance(violates, _Rows):
+        first = violates.start()
+    else:
+        def first(*head):
+            return next(compress(count(), map(violates, *map(repeat, head),
+                                              last)), None)
+    for i, head in enumerate(product(*outer)):
+        j = first(*head)
+        if j is not None:
+            return (i * len(last) + j,
+                    _flatten_bindings(axes, (*head, last[j])))
     return None
 
 
 def run_check(law_name: str, axes: Sequence[Axis], violates: Callable, *,
               budget: int = DEFAULT_BUDGET, workers: int = 1,
               projected: int | None = None) -> CheckReport:
-    """Scan axes in lexicographic order for the first violation.
+    """Scan axes in lexicographic order for the first violation, a row (one
+    assignment of the outer axes against the whole last axis) at a time,
+    calling ``violates`` on every case up to the first violation, no further.
 
     ``projected`` overrides the budgeted evaluation count when one case costs
     more than a single evaluation (for instance a nested quantifier inside
     ``violates``).  ``workers`` is accepted for compatibility and ignored:
-    the scan is sequential, because under the interpreter lock threads only
-    slowed it down.
+    the scan runs in one thread, because under the interpreter lock threads
+    only slowed it down.
     """
     del workers
-    total = 1
-    for _, vals in axes:
-        total *= len(vals)
-    if (projected if projected is not None else total) > budget:
-        raise UniverseTooLargeError(
-            projected if projected is not None else total, budget, law_name)
-
+    total = prod(len(vals) for _, vals in axes)
+    _within_budget(law_name, total if projected is None else projected, budget)
     t0 = perf_counter()
     hit = _scan(axes, violates)
     elapsed = perf_counter() - t0
@@ -200,6 +203,12 @@ def run_check(law_name: str, axes: Sequence[Axis], violates: Callable, *,
         return CheckReport(law_name, "pass", total, None, elapsed)
     flat, bindings = hit
     return CheckReport(law_name, "fail", flat + 1, bindings, elapsed)
+
+
+def _within_budget(law: str, projected: int, budget: int) -> None:
+    """Refuse upfront a check projected to exceed ``budget`` evaluations."""
+    if projected > budget:
+        raise UniverseTooLargeError(projected, budget, law)
 
 
 def merge_reports(law_name: str,
@@ -216,20 +225,6 @@ def merge_reports(law_name: str,
             cx = bindings + (rep.counterexample or ())
             return CheckReport(law_name, rep.verdict, cases, cx, elapsed)
     return CheckReport(law_name, "pass", cases, None, elapsed)
-
-
-class _Memo(dict):
-    """``fn``'s value at each argument, computed on the first lookup.  The
-    scans revisit the same input for every candidate; a repeat lookup is a
-    plain dict hit that makes no Python-level call."""
-
-    def __init__(self, fn: Callable) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _preds_axis(u: Universe, pred: Pred | None) -> list[Pred]:
@@ -257,13 +252,14 @@ class CanonicalGC:
 
 def _parts(name: str, u: Universe, pred: Pred | None = None,
            n: int | None = None, hard: Callable | None = None,
-           spec: bool = False) -> list[tuple[tuple, CanonicalGC, set | None]]:
+           spec: bool = False) -> list[tuple[tuple, CanonicalGC, list | None]]:
     """The instances a gc check of ``name`` runs, in order, as (bindings,
     instance, feasible), with ``hard`` (by default the combinator) as the
     upper map.  A target without an ``ADJOINTS`` row has the identity as
     lower map and one instance per predicate, whose candidate ranges over
     the easy set.  For a ``spec`` that ranges it over the whole carrier,
-    ``feasible`` is the easy set, which the left side then also requires.
+    ``feasible`` flags each candidate in the easy set, which the left side
+    then also requires.
     """
     s, adj = SPECS.get(name), ADJOINTS.get(name)
     if s is None and adj is None:
@@ -274,11 +270,11 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
         whole = spec and not s.feasible_only
         parts = []
         for p in _preds_axis(u, pred):
-            easy = [y for y in seqs if s.easy(p, y)]
+            flags = [s.easy(p, y) for y in seqs]
             gc = CanonicalGC(name, lambda y: y, partial(hard, p), s.order,
-                             s.order, ((s.names[0],), seqs),
-                             ((s.names[1],), seqs if whole else easy))
-            parts.append(((("p", p),), gc, set(easy) if whole else None))
+                             s.order, ((s.names[0],), seqs), ((s.names[1],),
+                             seqs if whole else list(compress(seqs, flags))))
+            parts.append(((("p", p),), gc, flags if whole else None))
         return parts
 
     def carrier(o: OrderDef) -> list:
@@ -305,21 +301,27 @@ def build_gcs(name: str, u: Universe,
     return [(bindings, gc) for bindings, gc, _ in _parts(name, u, pred)]
 
 
-def _check_instance(law: str, gc: CanonicalGC, feasible: set | None, *,
+def _check_instance(law: str, gc: CanonicalGC, feasible: list | None, *,
                     budget: int, workers: int) -> CheckReport:
-    """The defining equivalence of ``gc`` over the product of its carriers;
-    with ``feasible``, a candidate outside it has a false left side."""
-    leq_a, leq_b = gc.order_a.leq, gc.order_b.leq
-    low, up = _Memo(gc.lower), _Memo(gc.upper)
+    """The defining equivalence of ``gc`` over the product of its carriers,
+    one x against every y per row, with ``upper(x)`` computed once per row
+    and a false left side wherever a ``feasible`` flag is false."""
+    ys = gc.y_axis[1]
 
-    if feasible is None:
-        def violates(x, y):
-            return leq_a(low[y], x) != leq_b(y, up[x])
-    else:
-        def violates(x, y):
-            return (y in feasible and leq_a(low[y], x)) != leq_b(y, up[x])
+    def start():
+        leq_a, leq_b, upper = gc.order_a.leq, gc.order_b.leq, gc.upper
+        lows = list(map(gc.lower, ys))
 
-    return run_check(law, [gc.x_axis, gc.y_axis], violates,
+        def first(x):
+            left = map(leq_a, lows, repeat(x))
+            if feasible is not None:
+                left = map(and_, feasible, left)
+            left, right = list(left), list(map(leq_b, ys, repeat(upper(x))))
+            return None if left == right else next(
+                compress(count(), map(ne, left, right)))
+        return first
+
+    return run_check(law, [gc.x_axis, gc.y_axis], _Rows(start),
                      budget=budget, workers=workers)
 
 
@@ -335,10 +337,8 @@ def _check_parts(law: str, parts: list, budget: int,
                  workers: int) -> CheckReport:
     """Run the parts in order until one fails, merged into one report.  The
     budget covers all of them and is checked before the first one runs."""
-    projected = sum(len(gc.x_axis[1]) * len(gc.y_axis[1])
-                    for _, gc, _ in parts)
-    if projected > budget:
-        raise UniverseTooLargeError(projected, budget, law)
+    _within_budget(law, sum(len(gc.x_axis[1]) * len(gc.y_axis[1])
+                            for _, gc, _ in parts), budget)
     return merge_reports(law, (
         (bindings, _check_instance(law, gc, feasible, budget=budget,
                                    workers=workers))
@@ -397,23 +397,24 @@ def check_cancellation(name: str, u: Universe, side: str, *,
 
     left:  applying upper then lower lands at or below the input.
     right: every y sits at or below upper(lower(y)).
+    The budget covers every instance, checked before the first runs.
     """
     if side not in ("left", "right"):
         raise ValueError(f"cancellation side must be left or right: {side!r}")
     law = f"cancellation-{side}:{name}"
+    gcs = build_gcs(name, u, pred)
+    axis = "x_axis" if side == "left" else "y_axis"
+    _within_budget(law, sum(len(getattr(gc, axis)[1]) for _, gc in gcs),
+                   budget)
     parts = []
-    for bindings, gc in build_gcs(name, u, pred):
+    for bindings, gc in gcs:
         if side == "left":
             def violates(x, _gc=gc):
                 return not _gc.order_a.leq(_gc.lower(_gc.upper(x)), x)
-
-            axes = [gc.x_axis]
         else:
             def violates(y, _gc=gc):
                 return not _gc.order_b.leq(y, _gc.upper(_gc.lower(y)))
-
-            axes = [gc.y_axis]
-        parts.append((bindings, run_check(law, axes, violates,
+        parts.append((bindings, run_check(law, [getattr(gc, axis)], violates,
                                           budget=budget, workers=workers)))
     return merge_reports(law, parts)
 
@@ -422,10 +423,14 @@ def check_semi_inverse(name: str, u: Universe, *, pred: Pred | None = None,
                        budget: int = DEFAULT_BUDGET,
                        workers: int = 1) -> CheckReport:
     """Round-trip identities: upper.lower.upper = upper over the x carrier,
-    then lower.upper.lower = lower over the y carrier."""
+    then lower.upper.lower = lower over the y carrier.  The budget covers
+    both carriers of every instance, checked before the first runs."""
     law = f"semi-inverse:{name}"
+    gcs = build_gcs(name, u, pred)
+    _within_budget(law, sum(len(gc.x_axis[1]) + len(gc.y_axis[1])
+                            for _, gc in gcs), budget)
     parts = []
-    for bindings, gc in build_gcs(name, u, pred):
+    for bindings, gc in gcs:
         def x_violates(x, _gc=gc):
             gx = _gc.upper(x)
             return _gc.upper(_gc.lower(gx)) != gx
@@ -434,12 +439,10 @@ def check_semi_inverse(name: str, u: Universe, *, pred: Pred | None = None,
             fy = _gc.lower(y)
             return _gc.lower(_gc.upper(fy)) != fy
 
-        x_rep = run_check(law, [gc.x_axis], x_violates,
-                          budget=budget, workers=workers)
-        parts.append((bindings + (("equation", "g.f.g = g"),), x_rep))
-        y_rep = run_check(law, [gc.y_axis], y_violates,
-                          budget=budget, workers=workers)
-        parts.append((bindings + (("equation", "f.g.f = f"),), y_rep))
+        parts.append((bindings + (("equation", "g.f.g = g"),), run_check(
+            law, [gc.x_axis], x_violates, budget=budget, workers=workers)))
+        parts.append((bindings + (("equation", "f.g.f = f"),), run_check(
+            law, [gc.y_axis], y_violates, budget=budget, workers=workers)))
     return merge_reports(law, parts)
 
 
@@ -449,34 +452,31 @@ def check_injective_adjoint(name: str, u: Universe, *,
                             workers: int = 1) -> CheckReport:
     """When the lower map is injective on its carrier, upper must invert it
     exactly.  A collision makes the law inapplicable; the report then carries
-    the colliding pair instead of failing."""
+    the colliding pair instead of failing.  The budget covers both scans of
+    every instance, checked before the first runs."""
     law = f"injective-adjoint:{name}"
+    gcs = build_gcs(name, u, pred)
+    _within_budget(law, sum(2 * len(gc.y_axis[1]) for _, gc in gcs), budget)
     parts = []
-    for bindings, gc in build_gcs(name, u, pred):
-        names, ys = gc.y_axis
+    for bindings, gc in gcs:
+        ys = gc.y_axis[1]
         seen: dict = {}
-        collision = None
         for y in ys:
             fy = gc.lower(y)
             if fy in seen:
-                collision = (seen[fy], y, fy)
-                break
+                cx = bindings + (("y1", seen[fy]), ("y2", y), ("f_y", fy))
+                parts.append(((), CheckReport(law, "not-applicable",
+                                              len(seen) + 1, cx)))
+                return merge_reports(law, parts)
             seen[fy] = y
-        if collision is not None:
-            y1, y2, fy = collision
-            cx = bindings + (("y1", y1), ("y2", y2), ("f_y", fy))
-            parts.append(((), CheckReport(law, "not-applicable", len(seen) + 1,
-                                          cx)))
-            return merge_reports(law, parts)
 
         def violates(y, _gc=gc):
             return _gc.upper(_gc.lower(y)) != y
 
         rep = run_check(law, [gc.y_axis], violates,
                         budget=budget, workers=workers)
-        total = rep.cases_checked + len(ys)
-        parts.append((bindings, CheckReport(law, rep.verdict, total,
-                                            rep.counterexample, rep.elapsed)))
+        parts.append((bindings, replace(
+            rep, cases_checked=rep.cases_checked + len(ys))))
     return merge_reports(law, parts)
 
 

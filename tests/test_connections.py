@@ -1,6 +1,10 @@
 """The exhaustive checking engine: split specifications, adjunction
 candidates and their consequences, refutation search, and the law battery."""
 
+import itertools
+import random
+from functools import partial
+
 import pytest
 
 from galoischeck import (
@@ -76,6 +80,60 @@ def test_run_check_worker_split_is_invisible():
     assert lone.cases_checked == 8
 
 
+def _product_loop(axes, violates):
+    """The plain reference: every case of the axes' product in order, up to
+    and including the first violation."""
+    n = 0
+    for case in itertools.product(*(vals for _, vals in axes)):
+        n += 1
+        if violates(*case):
+            bindings = []
+            for (names, _), val in zip(axes, case):
+                bindings += (zip(names, val) if len(names) > 1
+                             else [(names[0], val)])
+            return "fail", n, tuple(bindings)
+    return "pass", n, None
+
+
+def _random_axes(rng):
+    """One to four axes of up to four values; an axis may be empty or hold
+    composite values under several names."""
+    axes = []
+    for a in range(rng.randint(1, 4)):
+        size = rng.choice((0, 1, 2, 3, 4, 4, 4))
+        if rng.random() < 0.3:
+            vals = [(a, i, -i) for i in range(size)]
+            axes.append(((f"u{a}", f"v{a}", f"w{a}"), vals))
+        else:
+            axes.append(((f"a{a}",), [(a, i) for i in range(size)]))
+    return axes
+
+
+def test_run_check_agrees_with_a_product_loop():
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        axes = _random_axes(rng)
+        cases = list(itertools.product(*(vals for _, vals in axes)))
+        bad = {c for c in cases if rng.random() < rng.choice((0, 0.02, 0.3))}
+        calls = []
+
+        def violates(*case):
+            calls.append(case)
+            return case in bad
+
+        rep = run_check("random", axes, violates)
+        outcome = (rep.verdict, rep.cases_checked, rep.counterexample)
+        assert outcome == _product_loop(axes, lambda *c: c in bad), seed
+        # the cost follows the answer: one call per case checked, in order
+        assert calls == cases[:rep.cases_checked], seed
+        seen.add(rep.verdict)
+        seen.add(len(axes))
+        seen |= {"composite" for names, _ in axes if len(names) > 1}
+        seen |= {"empty" for _, vals in axes if not vals}
+    assert seen == {"pass", "fail", 1, 2, 3, 4, "composite", "empty"}
+
+
 # --- split specifications --------------------------------------------------
 
 
@@ -95,6 +153,13 @@ def test_spec_case_counts_are_frozen():
     (check_easy_hard, "takeWhile", Universe(2, 4), 1000, 3844),
     (check_canonical_gc, "takeWhile", Universe(2, 4), 1000, 1302),
     (check_easy_hard, "dropWhile", Universe(2, 5), 5000, 8064),
+    (partial(check_cancellation, side="left"), "takeWhile", Universe(2, 4),
+     40, 124),
+    (partial(check_cancellation, side="right"), "takeWhile", Universe(2, 4),
+     40, 42),
+    (check_semi_inverse, "takeWhile", Universe(2, 4), 40, 166),
+    # the collision scan and the inverse check, 42 cases each
+    (check_injective_adjoint, "takeWhile", Universe(2, 4), 40, 84),
 ])
 def test_spec_and_gc_budget_the_whole_check(check, name, u, small, total):
     # one part per predicate, but the budget covers all of them, upfront

@@ -125,24 +125,46 @@ def spec_cases(name, k, L, hard):
                            prefix(zs, out))
 
 
-def gc_cases(name, k, L, hard):
+def gc_cases(name, k, L, hard, leq_a=None, leq_b=None):
     """The adjunction ``lower y <= x  <=>  y <= upper x`` with upper the
-    combinator.  The predicate families have the identity as lower map and
-    their candidate ranges over the easy set; written out for take (lower
-    ``ys -> (len ys, ys)`` under count-and-prefix) and zip (lower unzip under
-    componentwise prefix) it is the split specification itself."""
-    if name not in FAMILIES:
-        yield from spec_cases(name, k, L, hard)
-        return
-    leq, easy, x_name, y_name = FAMILIES[name]
+    combinator; ``leq_a`` and ``leq_b`` replace the order of the left and
+    the right side.  The predicate families have the identity as lower map
+    and their candidate ranges over the easy set.  Take (lower
+    ``ys -> (len ys, ys)`` under count-and-prefix) and zip (lower unzip
+    under componentwise prefix) are written out; with the real orders they
+    are the split specification itself."""
     S = seqs(k, L)
-    for p in preds(k):
-        feasible = [y for y in S if easy(p, y)]
-        for x in S:
-            out = hard(p, x)
-            for y in feasible:
-                yield ((("p", p), (x_name, x), (y_name, y)),
-                       leq(y, x), leq(y, out))
+    if name in FAMILIES:
+        leq, easy, x_name, y_name = FAMILIES[name]
+        leq_a, leq_b = leq_a or leq, leq_b or leq
+        for p in preds(k):
+            feasible = [y for y in S if easy(p, y)]
+            for x in S:
+                out = hard(p, x)
+                for y in feasible:
+                    yield ((("p", p), (x_name, x), (y_name, y)),
+                           leq_a(y, x), leq_b(y, out))
+        return
+    leq_b = leq_b or prefix
+    if name == "take":
+        leq_a = leq_a or (lambda a, b: a[0] <= b[0] and prefix(a[1], b[1]))
+        for n in range(L + 2):
+            for xs in S:
+                out = hard(n, xs)
+                for ys in S:
+                    yield ((("n", n), ("xs", xs), ("ys", ys)),
+                           leq_a((len(ys), ys), (n, xs)), leq_b(ys, out))
+    else:
+        leq_a = leq_a or (lambda a, b: prefix(a[0], b[0])
+                          and prefix(a[1], b[1]))
+        for xs in S:
+            for ys in S:
+                out = hard(xs, ys)
+                for zs in pair_seqs(k, L):
+                    unzipped = (tuple(a for a, _ in zs),
+                                tuple(b for _, b in zs))
+                    yield ((("xs", xs), ("ys", ys), ("zs", zs)),
+                           leq_a(unzipped, (xs, ys)), leq_b(zs, out))
 
 
 def reference(cases):
@@ -264,3 +286,52 @@ def test_seeded_mutants_are_rejected(name, u):
     k, L = u
     for trigger, bad, hard in seeded_mutants(name, k, L):
         assert agree(name, k, L, hard) == ("fail", "fail"), (trigger, bad)
+
+
+# --- mutant orders on the gc path -------------------------------------------
+#
+# Each mutant keeps the order's real ``below`` generator and replaces its
+# relation, so an engine that read related pairs off the generators instead
+# of calling ``leq`` on every case would disagree with the reference.  The
+# mutants are wrong prefix relations on sequences; on take's (count, xs)
+# and zip's (xs, ys) carriers they replace every prefix component.
+
+MUTANT_PREFIXES = {
+    "strict-prefix": lambda a, b: a != b and prefix(a, b),
+    "one-step-prefix": lambda a, b: prefix(a, b) and len(b) - len(a) <= 1,
+    "prefix-ignoring-last": lambda a, b: prefix(a[:-1], b),
+    "always-true": lambda a, b: True,
+}
+MUTANT_UNIVERSES = {name: ((2, 3), (3, 2)) for name in NAMES}
+MUTANT_UNIVERSES["zip"] = ((2, 2),)
+
+
+def mutant_leq(name, side, mut):
+    """``mut`` on the elements the ``side`` order of the target relates."""
+    if side == "order_b" or name in FAMILIES:
+        return mut
+    if name == "take":
+        return lambda a, b: a[0] <= b[0] and mut(a[1], b[1])
+    return lambda a, b: mut(a[0], b[0]) and mut(a[1], b[1])
+
+
+MUTANT_ORDER_CASES = [
+    (name, u, side, mutant)
+    for name in NAMES for u in MUTANT_UNIVERSES[name]
+    for side in ("order_a", "order_b") for mutant in sorted(MUTANT_PREFIXES)]
+
+
+@pytest.mark.parametrize("name,u,side,mutant", MUTANT_ORDER_CASES)
+def test_mutant_orders_match_reference(name, u, side, mutant):
+    k, L = u
+    leq = mutant_leq(name, side, MUTANT_PREFIXES[mutant])
+    parts = []
+    for bindings, gc in build_gcs(name, Universe(k, L)):
+        order = dataclasses.replace(getattr(gc, side), leq=leq)
+        parts.append((bindings, check_gc_instance(
+            dataclasses.replace(gc, **{side: order}))))
+    engine = outcome(merge_reports(f"gc:{name}", parts))
+    ref = reference(gc_cases(name, k, L, REAL[name], **{
+        "leq_a" if side == "order_a" else "leq_b": leq}))
+    assert engine == ref
+    assert engine[0] == "fail"
