@@ -231,8 +231,6 @@ def _run_oracle(args, u: Universe) -> int:
     elif param == "n":
         if args.n is None:
             return _usage(f"{args.target} oracle needs --n")
-        if args.n < 0:
-            return _usage("take count must be non-negative")
         inputs["n"] = args.n
     elif pred is None:
         return _usage(f"{args.target} oracle needs --pred")
@@ -290,8 +288,6 @@ def run(args: argparse.Namespace) -> int:
         if args.target not in SPEC_NAMES:
             return _usage(f"unknown combinator {args.target!r}")
         pred = _target_pred(args, u)
-        if args.n is not None and args.n < 0:
-            return _usage("take count must be non-negative")
         rep = check_easy_hard(args.target, u, pred=pred, n=args.n, **kw)
         return emit_report(args.command, args.target, u, rep, fmt)
 

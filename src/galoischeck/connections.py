@@ -14,6 +14,10 @@ Each target is described once, in ``SPECS`` (a combinator's split
 specification) and ``ADJOINTS`` (an adjoint presentation whose lower map is
 not the identity); the spec, gc, oracle and law checks all read these
 tables.
+
+Each law lists its parts (bindings, axes, per-case condition, evaluations
+per case); one driver budgets them all before the first one runs, scans
+them in order and merges their reports once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import compress, count, product, repeat
 from math import prod
 from operator import and_, ne
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .combinators import (
     drop_while,
@@ -180,21 +184,15 @@ def _scan(axes: Sequence[Axis],
 
 
 def run_check(law_name: str, axes: Sequence[Axis], violates: Callable, *,
-              budget: int = DEFAULT_BUDGET, workers: int = 1,
-              projected: int | None = None) -> CheckReport:
+              budget: int = DEFAULT_BUDGET, workers: int = 1) -> CheckReport:
     """Scan axes in lexicographic order for the first violation, a row (one
     assignment of the outer axes against the whole last axis) at a time,
     calling ``violates`` on every case up to the first violation, no further.
-
-    ``projected`` overrides the budgeted evaluation count when one case costs
-    more than a single evaluation (for instance a nested quantifier inside
-    ``violates``).  ``workers`` is accepted for compatibility and ignored:
-    the scan runs in one thread, because under the interpreter lock threads
-    only slowed it down.
-    """
+    The scan runs in one thread: under the interpreter lock threads only
+    slowed it down."""
     del workers
     total = prod(len(vals) for _, vals in axes)
-    _within_budget(law_name, total if projected is None else projected, budget)
+    _within_budget(law_name, total, budget)
     t0 = perf_counter()
     hit = _scan(axes, violates)
     elapsed = perf_counter() - t0
@@ -225,6 +223,27 @@ def merge_reports(law_name: str,
             cx = bindings + (rep.counterexample or ())
             return CheckReport(law_name, rep.verdict, cases, cx, elapsed)
     return CheckReport(law_name, "pass", cases, None, elapsed)
+
+
+class _Part(NamedTuple):
+    """A scan of ``violates`` over ``axes``, ``cost`` evaluations a case, its
+    witness after ``bindings``; ``hit`` rewrites a violation's report."""
+    bindings: tuple
+    axes: list
+    violates: Callable | _Rows
+    cost: int = 1
+    hit: Callable | None = None
+
+
+def _run_parts(law: str, parts: list[_Part], budget: int) -> CheckReport:
+    """The one law driver: budget every part before the first one runs,
+    then run them in order until one does not pass, merged once."""
+    _within_budget(law, sum(p.cost * prod(len(vals) for _, vals in p.axes)
+                            for p in parts), budget)
+    runs = ((p, run_check(law, p.axes, p.violates, budget=budget))
+            for p in parts)
+    return merge_reports(law, ((p.bindings, p.hit(rep) if p.hit and not rep.ok
+                                else rep) for p, rep in runs))
 
 
 def _preds_axis(u: Universe, pred: Pred | None) -> list[Pred]:
@@ -264,6 +283,8 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     s, adj = SPECS.get(name), ADJOINTS.get(name)
     if s is None and adj is None:
         raise ValueError(f"no adjoint presentation for target {name!r}")
+    if n is not None and n < 0:
+        raise ValueError("take count must be non-negative")
     seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
     hard = hard or (s and s.hard)
     if adj is None:
@@ -283,8 +304,6 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
         return materialize_carrier(o.carrier, u)
 
     if n is not None and s.param == "n":
-        if n < 0:
-            raise ValueError("take count must be non-negative")
         xs = [(n, x) for x in seqs]
     else:
         xs = carrier(adj.order_a)
@@ -301,8 +320,8 @@ def build_gcs(name: str, u: Universe,
     return [(bindings, gc) for bindings, gc, _ in _parts(name, u, pred)]
 
 
-def _check_instance(law: str, gc: CanonicalGC, feasible: list | None, *,
-                    budget: int, workers: int) -> CheckReport:
+def _equivalence(bindings: tuple, gc: CanonicalGC,
+                 feasible: list | None = None) -> _Part:
     """The defining equivalence of ``gc`` over the product of its carriers,
     one x against every y per row, with ``upper(x)`` computed once per row
     and a false left side wherever a ``feasible`` flag is false."""
@@ -320,29 +339,19 @@ def _check_instance(law: str, gc: CanonicalGC, feasible: list | None, *,
             return None if left == right else next(
                 compress(count(), map(ne, left, right)))
         return first
-
-    return run_check(law, [gc.x_axis, gc.y_axis], _Rows(start),
-                     budget=budget, workers=workers)
+    return _Part(bindings, [gc.x_axis, gc.y_axis], _Rows(start))
 
 
 def check_gc_instance(gc: CanonicalGC, *, budget: int = DEFAULT_BUDGET,
                       workers: int = 1) -> CheckReport:
     """Check the defining equivalence of one adjunction candidate over the
     full product of its two carriers."""
-    return _check_instance(f"gc:{gc.name}", gc, None, budget=budget,
-                           workers=workers)
+    part = _equivalence((), gc)
+    return run_check(f"gc:{gc.name}", part.axes, part.violates, budget=budget)
 
 
-def _check_parts(law: str, parts: list, budget: int,
-                 workers: int) -> CheckReport:
-    """Run the parts in order until one fails, merged into one report.  The
-    budget covers all of them and is checked before the first one runs."""
-    _within_budget(law, sum(len(gc.x_axis[1]) * len(gc.y_axis[1])
-                            for _, gc, _ in parts), budget)
-    return merge_reports(law, (
-        (bindings, _check_instance(law, gc, feasible, budget=budget,
-                                   workers=workers))
-        for bindings, gc, feasible in parts))
+def _gc_parts(name: str, u: Universe, pred: Pred | None = None) -> list:
+    return [_equivalence(b, gc) for b, gc in build_gcs(name, u, pred)]
 
 
 def check_canonical_gc(name: str, u: Universe, *, pred: Pred | None = None,
@@ -350,8 +359,7 @@ def check_canonical_gc(name: str, u: Universe, *, pred: Pred | None = None,
                        workers: int = 1) -> CheckReport:
     """Check the defining equivalence of the adjunction for every instance
     the target generates."""
-    parts = [(bindings, gc, None) for bindings, gc in build_gcs(name, u, pred)]
-    return _check_parts(f"gc:{name}", parts, budget, workers)
+    return _run_parts(f"gc:{name}", _gc_parts(name, u, pred), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -384,66 +392,79 @@ def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
     """
     if name not in SPECS:
         raise ValueError(f"unknown split specification {name!r}")
-    return _check_parts(f"spec:{name}",
-                        _parts(name, u, pred, n, hard_fn, spec=True),
-                        budget, workers)
+    return _run_parts(f"spec:{name}", [_equivalence(*i) for i in _parts(
+        name, u, pred, n, hard_fn, spec=True)], budget)
+
+
+# ---------------------------------------------------------------------------
+# Consequences of the adjunction, each listed as its parts for one target.
+
+
+def _cancellation_parts(name: str, u: Universe, side: str,
+                        pred: Pred | None = None) -> list:
+    if side not in ("left", "right"):
+        raise ValueError(f"cancellation side must be left or right: {side!r}")
+    if side == "left":
+        return [_Part(b, [gc.x_axis], lambda x, gc=gc: not gc.order_a.leq(
+            gc.lower(gc.upper(x)), x)) for b, gc in build_gcs(name, u, pred)]
+    return [_Part(b, [gc.y_axis], lambda y, gc=gc: not gc.order_b.leq(
+        y, gc.upper(gc.lower(y)))) for b, gc in build_gcs(name, u, pred)]
 
 
 def check_cancellation(name: str, u: Universe, side: str, *,
-                       pred: Pred | None = None,
-                       budget: int = DEFAULT_BUDGET,
+                       pred: Pred | None = None, budget: int = DEFAULT_BUDGET,
                        workers: int = 1) -> CheckReport:
     """One cancellation consequence of the adjunction.
 
     left:  applying upper then lower lands at or below the input.
     right: every y sits at or below upper(lower(y)).
-    The budget covers every instance, checked before the first runs.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"cancellation side must be left or right: {side!r}")
-    law = f"cancellation-{side}:{name}"
-    gcs = build_gcs(name, u, pred)
-    axis = "x_axis" if side == "left" else "y_axis"
-    _within_budget(law, sum(len(getattr(gc, axis)[1]) for _, gc in gcs),
-                   budget)
-    parts = []
-    for bindings, gc in gcs:
-        if side == "left":
-            def violates(x, _gc=gc):
-                return not _gc.order_a.leq(_gc.lower(_gc.upper(x)), x)
-        else:
-            def violates(y, _gc=gc):
-                return not _gc.order_b.leq(y, _gc.upper(_gc.lower(y)))
-        parts.append((bindings, run_check(law, [getattr(gc, axis)], violates,
-                                          budget=budget, workers=workers)))
-    return merge_reports(law, parts)
+    return _run_parts(f"cancellation-{side}:{name}",
+                      _cancellation_parts(name, u, side, pred), budget)
+
+
+def _round_trip_moves(f: Callable, g: Callable, v) -> bool:
+    """f.g.f differs from f at v."""
+    fv = f(v)
+    return f(g(fv)) != fv
+
+
+def _semi_inverse_parts(name: str, u: Universe,
+                        pred: Pred | None = None) -> list:
+    return [part for b, gc in build_gcs(name, u, pred) for part in (
+        _Part(b + (("equation", "g.f.g = g"),), [gc.x_axis],
+              partial(_round_trip_moves, gc.upper, gc.lower)),
+        _Part(b + (("equation", "f.g.f = f"),), [gc.y_axis],
+              partial(_round_trip_moves, gc.lower, gc.upper)))]
 
 
 def check_semi_inverse(name: str, u: Universe, *, pred: Pred | None = None,
                        budget: int = DEFAULT_BUDGET,
                        workers: int = 1) -> CheckReport:
     """Round-trip identities: upper.lower.upper = upper over the x carrier,
-    then lower.upper.lower = lower over the y carrier.  The budget covers
-    both carriers of every instance, checked before the first runs."""
-    law = f"semi-inverse:{name}"
-    gcs = build_gcs(name, u, pred)
-    _within_budget(law, sum(len(gc.x_axis[1]) + len(gc.y_axis[1])
-                            for _, gc in gcs), budget)
+    then lower.upper.lower = lower over the y carrier."""
+    return _run_parts(f"semi-inverse:{name}",
+                      _semi_inverse_parts(name, u, pred), budget)
+
+
+def _injective_parts(name: str, u: Universe,
+                     pred: Pred | None = None) -> list:
+    """Per instance, a scan for a repeated lower image, then the inverse."""
     parts = []
-    for bindings, gc in gcs:
-        def x_violates(x, _gc=gc):
-            gx = _gc.upper(x)
-            return _gc.upper(_gc.lower(gx)) != gx
+    for b, gc in build_gcs(name, u, pred):
+        seen: dict = {}
 
-        def y_violates(y, _gc=gc):
-            fy = _gc.lower(y)
-            return _gc.lower(_gc.upper(fy)) != fy
-
-        parts.append((bindings + (("equation", "g.f.g = g"),), run_check(
-            law, [gc.x_axis], x_violates, budget=budget, workers=workers)))
-        parts.append((bindings + (("equation", "f.g.f = f"),), run_check(
-            law, [gc.y_axis], y_violates, budget=budget, workers=workers)))
-    return merge_reports(law, parts)
+        def not_applicable(rep, gc=gc, seen=seen):
+            y2 = rep.counterexample[-1][1]
+            fy = gc.lower(y2)
+            return replace(rep, verdict="not-applicable", counterexample=(
+                ("y1", seen[fy]), ("y2", y2), ("f_y", fy)))
+        parts += [_Part(b, [gc.y_axis], lambda y, gc=gc, seen=seen:
+                        seen.setdefault(gc.lower(y), y) != y,
+                        hit=not_applicable),
+                  _Part(b, [gc.y_axis], lambda y, gc=gc:
+                        gc.upper(gc.lower(y)) != y)]
+    return parts
 
 
 def check_injective_adjoint(name: str, u: Universe, *,
@@ -452,43 +473,17 @@ def check_injective_adjoint(name: str, u: Universe, *,
                             workers: int = 1) -> CheckReport:
     """When the lower map is injective on its carrier, upper must invert it
     exactly.  A collision makes the law inapplicable; the report then carries
-    the colliding pair instead of failing.  The budget covers both scans of
-    every instance, checked before the first runs."""
-    law = f"injective-adjoint:{name}"
-    gcs = build_gcs(name, u, pred)
-    _within_budget(law, sum(2 * len(gc.y_axis[1]) for _, gc in gcs), budget)
-    parts = []
-    for bindings, gc in gcs:
-        ys = gc.y_axis[1]
-        seen: dict = {}
-        for y in ys:
-            fy = gc.lower(y)
-            if fy in seen:
-                cx = bindings + (("y1", seen[fy]), ("y2", y), ("f_y", fy))
-                parts.append(((), CheckReport(law, "not-applicable",
-                                              len(seen) + 1, cx)))
-                return merge_reports(law, parts)
-            seen[fy] = y
-
-        def violates(y, _gc=gc):
-            return _gc.upper(_gc.lower(y)) != y
-
-        rep = run_check(law, [gc.y_axis], violates,
-                        budget=budget, workers=workers)
-        parts.append((bindings, replace(
-            rep, cases_checked=rep.cases_checked + len(ys))))
-    return merge_reports(law, parts)
+    the colliding pair instead of failing."""
+    return _run_parts(f"injective-adjoint:{name}",
+                      _injective_parts(name, u, pred), budget)
 
 
 # ---------------------------------------------------------------------------
-# Equational consequences on the combinators themselves.
+# Equational consequences on the combinators themselves, read from SPECS.
 
 
-def check_idempotent(name: str, u: Universe, *, pred: Pred | None = None,
-                     budget: int = DEFAULT_BUDGET,
-                     workers: int = 1) -> CheckReport:
-    """Applying the combinator twice with the same predicate changes
-    nothing after the first application."""
+def _idempotent_parts(name: str, u: Universe,
+                      pred: Pred | None = None) -> list:
     spec = SPECS.get(name)
     if spec is None or spec.param != "p":
         raise ValueError(f"idempotency does not apply to {name!r}")
@@ -498,43 +493,49 @@ def check_idempotent(name: str, u: Universe, *, pred: Pred | None = None,
     def violates(p, xs):
         once = fn(p, xs)
         return fn(p, once) != once
-
-    axes = [(("p",), _preds_axis(u, pred)), (("xs",), seqs)]
-    return run_check(f"idempotent:{name}", axes, violates,
-                     budget=budget, workers=workers)
+    return [_Part((), [(("p",), _preds_axis(u, pred)), (("xs",), seqs)],
+                  violates)]
 
 
-def check_fusion(u: Universe, *, budget: int = DEFAULT_BUDGET,
-                 workers: int = 1) -> CheckReport:
-    """Two passes with predicates p then q collapse to one pass with their
-    conjunction, for the combinators where the split ordering makes both
-    sides pick from the same candidates."""
-    fns = {"filter": filter_p, "takeWhile": take_while}
-    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
-    preds = list(enum_preds(u))
+def check_idempotent(name: str, u: Universe, *, pred: Pred | None = None,
+                     budget: int = DEFAULT_BUDGET,
+                     workers: int = 1) -> CheckReport:
+    """Applying the combinator twice with the same predicate changes
+    nothing after the first application."""
+    return _run_parts(f"idempotent:{name}",
+                      _idempotent_parts(name, u, pred), budget)
 
-    def violates(cname, p, q, xs):
-        fn = fns[cname]
+
+def _fusion_parts(u: Universe) -> list:
+    def violates(name, p, q, xs):
+        fn = SPECS[name].hard
         return fn(p, fn(q, xs)) != fn(pred_and(p, q), xs)
+    preds = list(enum_preds(u))
+    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
+    return [_Part((), [(("combinator",), ["filter", "takeWhile"]),
+                       (("p",), preds), (("q",), preds), (("xs",), seqs)],
+                  violates)]
 
-    axes = [(("combinator",), sorted(fns)), (("p",), preds),
-            (("q",), preds), (("xs",), seqs)]
-    return run_check("fusion", axes, violates, budget=budget,
-                     workers=workers)
 
-
-def check_split_append(u: Universe, *, budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> CheckReport:
-    """The kept prefix and the dropped suffix of the same predicate
-    reassemble the input exactly."""
+def _split_append_parts(u: Universe) -> list:
+    take, drop = SPECS["takeWhile"].hard, SPECS["dropWhile"].hard
     seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
 
     def violates(p, xs):
-        return take_while(p, xs) + drop_while(p, xs) != xs
+        return take(p, xs) + drop(p, xs) != xs
+    return [_Part((), [(("p",), list(enum_preds(u))), (("xs",), seqs)],
+                  violates)]
 
-    axes = [(("p",), list(enum_preds(u))), (("xs",), seqs)]
-    return run_check("split-append", axes, violates, budget=budget,
-                     workers=workers)
+
+def _indirect_equality_parts(order_name: str, u: Universe) -> list:
+    o = ORDERS[order_name]
+    elems = materialize_carrier(o.carrier, u)
+    leq = o.leq
+
+    def violates(xs, ys):
+        return xs != ys and all(leq(zs, xs) == leq(zs, ys) for zs in elems)
+    return [_Part((), [(("xs",), elems), (("ys",), elems)], violates,
+                  len(elems))]
 
 
 def check_indirect_equality(order_name: str, u: Universe, *,
@@ -543,19 +544,8 @@ def check_indirect_equality(order_name: str, u: Universe, *,
     """Two elements with identical down-sets must be equal.  The inner
     quantifier makes one case cost up to a full carrier scan, hence the
     cubic budget projection."""
-    o = ORDERS[order_name]
-    elems = materialize_carrier(o.carrier, u)
-    n = len(elems)
-    leq = o.leq
-
-    def violates(xs, ys):
-        if xs == ys:
-            return False
-        return all(leq(zs, xs) == leq(zs, ys) for zs in elems)
-
-    axes = [(("xs",), elems), (("ys",), elems)]
-    return run_check(f"indirect-equality:{order_name}", axes, violates,
-                     budget=budget, workers=workers, projected=n * n * n)
+    return _run_parts(f"indirect-equality:{order_name}",
+                      _indirect_equality_parts(order_name, u), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -610,36 +600,57 @@ def order_laws_report(order_name: str, u: Universe, *,
     return merged, rep.least_element
 
 
-# law -> (binding name, targets in order, check of one target)
-_LAW_TARGETS = {
-    "order-laws": ("order", sorted(ORDERS),
-                   lambda t, u, **kw: order_laws_report(t, u, **kw)[0]),
-    "gc": ("connection", SPEC_NAMES, check_canonical_gc),
-    "cancellation-left": ("connection", SPEC_NAMES,
-                          partial(check_cancellation, side="left")),
-    "cancellation-right": ("connection", SPEC_NAMES,
-                           partial(check_cancellation, side="right")),
-    "semi-inverse": ("connection", SPEC_NAMES, check_semi_inverse),
-    "injective-adjoint": ("connection", SPEC_NAMES, check_injective_adjoint),
-    "idempotent": ("combinator",
-                   [s for s in SPEC_NAMES if SPECS[s].param == "p"],
-                   check_idempotent),
-    "indirect-equality": ("order", ("prefix", "sublist"),
-                          check_indirect_equality),
+def _across(key: str, targets: Sequence[str], parts: Callable) -> Callable:
+    """A law's parts over its targets, each under its (key, target) binding."""
+    return lambda u: [p._replace(bindings=((key, t),) + p.bindings)
+                      for t in targets for p in parts(t, u)]
+
+
+# law -> its parts at a universe
+_LAWS = {
+    "gc": _across("connection", SPEC_NAMES, _gc_parts),
+    "cancellation-left": _across("connection", SPEC_NAMES, partial(
+        _cancellation_parts, side="left")),
+    "cancellation-right": _across("connection", SPEC_NAMES, partial(
+        _cancellation_parts, side="right")),
+    "semi-inverse": _across("connection", SPEC_NAMES, _semi_inverse_parts),
+    "injective-adjoint": _across("connection", SPEC_NAMES, _injective_parts),
+    "idempotent": _across("combinator", [
+        s for s in SPEC_NAMES if SPECS[s].param == "p"], _idempotent_parts),
+    "fusion": _fusion_parts,
+    "split-append": _split_append_parts,
+    "indirect-equality": _across("order", ("prefix", "sublist"),
+                                 _indirect_equality_parts),
 }
-_WHOLE_LAWS = {"fusion": check_fusion, "split-append": check_split_append}
-LAW_NAMES = tuple(sorted([*_LAW_TARGETS, *_WHOLE_LAWS]))
+LAW_NAMES = tuple(sorted([*_LAWS, "order-laws"]))
+
+
+def check_fusion(u: Universe, *, budget: int = DEFAULT_BUDGET,
+                 workers: int = 1) -> CheckReport:
+    """Two passes with predicates p then q collapse to one pass with their
+    conjunction, for the combinators where the split ordering makes both
+    sides pick from the same candidates."""
+    return _run_parts("fusion", _fusion_parts(u), budget)
+
+
+def check_split_append(u: Universe, *, budget: int = DEFAULT_BUDGET,
+                       workers: int = 1) -> CheckReport:
+    """The kept prefix and the dropped suffix of the same predicate
+    reassemble the input exactly."""
+    return _run_parts("split-append", _split_append_parts(u), budget)
 
 
 def check_law(law: str, u: Universe, *, budget: int = DEFAULT_BUDGET,
               workers: int = 1) -> CheckReport:
     """Run one named law across every target it applies to, in sorted
-    target order, aggregated into a single report."""
-    kw = {"budget": budget, "workers": workers}
-    if law in _WHOLE_LAWS:
-        return _WHOLE_LAWS[law](u, **kw)
-    if law not in _LAW_TARGETS:
+    target order, aggregated into a single report.  The budget covers every
+    part of every target, so a refusal names the law alone.  order-laws is
+    the exception: each order budgets the evaluations its scan makes, as its
+    pruned cost is not known before the scan."""
+    if law == "order-laws":
+        return merge_reports(law, (
+            ((("order", t),), order_laws_report(t, u, budget=budget)[0])
+            for t in sorted(ORDERS)))
+    if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}")
-    key, targets, check = _LAW_TARGETS[law]
-    return merge_reports(law, ((((key, t),), check(t, u, **kw))
-                               for t in targets))
+    return _run_parts(law, _LAWS[law](u), budget)

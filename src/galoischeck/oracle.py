@@ -10,7 +10,7 @@ implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .core import (
@@ -47,15 +47,6 @@ class NoGreatestError(OracleError):
         self.maxima = maxima
 
 
-@dataclass(frozen=True)
-class EasyCondition:
-    """The decidable part of a split specification: a relation between a
-    candidate and the input it is a candidate for."""
-
-    holds: Callable[[object, object], bool]
-    description: str
-
-
 def candidates_below(o: OrderDef, x, u: Universe) -> list:
     """All carrier elements below x under o, duplicate-free, in carrier
     enumeration order."""
@@ -65,27 +56,27 @@ def candidates_below(o: OrderDef, x, u: Universe) -> list:
     return [v for v in enumerate_carrier(o.carrier, u) if o.leq(v, x)]
 
 
-def best_under(o: OrderDef, easy: EasyCondition, x, u: Universe,
-               candidates: Sequence | None = None):
+def best_under(o: OrderDef, easy: Callable[[object], bool], says: str, x,
+               u: Universe, candidates: Sequence | None = None):
     """The greatest element, under o, among candidates below x satisfying
-    the easy condition.
+    the easy condition ``easy``, which ``says`` describes.
 
     Raises EmptyCandidatesError when nothing qualifies and NoGreatestError
     when the qualifying set has maximal elements but no single top.
     """
     if candidates is None:
         candidates = candidates_below(o, x, u)
-    feasible = [c for c in candidates if easy.holds(c, x)]
+    feasible = [c for c in candidates if easy(c)]
     if not feasible:
         raise EmptyCandidatesError(
-            f"no candidate below {x!r} satisfies: {easy.description}")
+            f"no candidate below {x!r} satisfies: {says}")
     for top in feasible:
         if all(o.leq(c, top) for c in feasible):
             return top
     maxima = tuple(m for m in feasible
                    if not any(m != c and o.leq(m, c) for c in feasible))
     raise NoGreatestError(
-        f"no greatest candidate below {x!r} for: {easy.description}; "
+        f"no greatest candidate below {x!r} for: {says}; "
         f"{len(maxima)} maximal candidates", maxima)
 
 
@@ -112,19 +103,21 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
         spec.param, ("ys", ys))
     if xs is None or arg is None:
         raise ValueError(f"{name} oracle needs xs and {arg_name}")
+    if spec.param == "n" and n < 0:
+        raise ValueError("take count must be non-negative")
     if spec.easy is None:
         # zip's easy condition reads the input: unzip zs <= (xs, ys)
         leq, lower = ADJOINTS[name].order_a.leq, ADJOINTS[name].lower
-        x = (xs, ys)
-        easy = EasyCondition(lambda v, x_: leq(lower(v), x_), spec.says)
+        x, says = (xs, ys), spec.says
+
+        def easy(zs):
+            return leq(lower(zs), x)
     else:
-        x = xs
-        shown = arg.bits() if spec.param == "p" else arg
-        easy = EasyCondition(lambda v, _x: spec.easy(arg, v),
-                             spec.says.format(shown))
+        x, easy = xs, partial(spec.easy, arg)
+        says = spec.says.format(arg.bits() if spec.param == "p" else arg)
 
     size = carrier_size_upper(spec.order.carrier, u)
     if size > budget:
         raise UniverseTooLargeError(size, budget, f"oracle:{name}")
     candidates = _zip_candidates(xs, ys, u) if spec.easy is None else None
-    return best_under(spec.order, easy, x, u, candidates=candidates)
+    return best_under(spec.order, easy, says, x, u, candidates=candidates)

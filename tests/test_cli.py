@@ -111,6 +111,7 @@ def test_oracle_zip_two_inputs(capsys):
     ("oracle", "--target", "zip", "--input", "0,1"),
     ("oracle", "--target", "filter", "--input", "0,1"),
     ("oracle", "--target", "take", "--input", "0,1"),
+    ("oracle", "--target", "take", "--n", "-1", "--input", "0"),
     ("oracle", "--target", "zip", "--n", "1",
      "--input", "0", "--input", "1"),
 ])
@@ -195,6 +196,15 @@ def test_budget_exhaustion_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "exceed budget 1000" in err
+
+
+def test_check_laws_refusal_projects_the_whole_law(capsys):
+    code, out, err = run_cli(
+        capsys, "check-laws", "--target", "idempotent", "--max-len", "4",
+        "--budget", "124")
+    assert (code, out) == (2, "")
+    assert err == ("error: idempotent: projected 372 evaluations exceed "
+                   "budget 124\n")
 
 
 @pytest.mark.parametrize("argv", [

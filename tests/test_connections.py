@@ -61,9 +61,12 @@ def test_run_check_enforces_budget():
     axes = [(("a",), [1, 2, 3]), (("b",), [1, 2])]
     with pytest.raises(UniverseTooLargeError):
         run_check("x", axes, lambda a, b: False, budget=5)
-    # an explicit projection overrides the raw product
-    with pytest.raises(UniverseTooLargeError):
-        run_check("x", axes, lambda a, b: False, budget=50, projected=51)
+    # a case that costs several evaluations is budgeted at that cost: one
+    # indirect-equality case scans the whole carrier of 3 sequences
+    with pytest.raises(UniverseTooLargeError) as exc:
+        check_indirect_equality("prefix", Universe(2, 1), budget=26)
+    assert exc.value.projected == 27
+    assert check_indirect_equality("prefix", Universe(2, 1), budget=27).ok
     rep = run_check("x", axes, lambda a, b: False, budget=6)
     assert rep.ok and rep.cases_checked == 6
 
@@ -169,6 +172,11 @@ def test_spec_and_gc_budget_the_whole_check(check, name, u, small, total):
         assert exc.value.projected == total
     rep = check(name, u, budget=total)
     assert rep.ok and rep.cases_checked == total
+
+
+def test_negative_take_count_is_refused_before_any_work():
+    with pytest.raises(ValueError, match="take count must be non-negative"):
+        check_easy_hard("take", U23, n=-1, budget=0)
 
 
 def test_spec_catches_broken_take_while():
@@ -371,6 +379,28 @@ def test_order_laws_report_carries_least_element():
     rep, least = order_laws_report("prefix", U23)
     assert rep.ok and least == ()
     assert rep.law_name == "order-laws:prefix"
+
+
+@pytest.mark.parametrize("law,total,cases", [
+    ("idempotent", 372, 372),
+    ("cancellation-left", 1519, 1519),
+    ("cancellation-right", 520, 520),
+    ("semi-inverse", 2039, 2039),
+    ("injective-adjoint", 1040, 1040),
+    ("gc", 338055, 338055),
+    # a case compares two down-sets over all 31 sequences: 31 evaluations
+    ("indirect-equality", 59582, 1922),
+    ("fusion", 992, 992),
+    ("split-append", 124, 124),
+])
+def test_check_law_budgets_the_whole_law(law, total, cases):
+    # every target's parts count against one budget, checked upfront
+    u = Universe(2, 4)
+    with pytest.raises(UniverseTooLargeError) as exc:
+        check_law(law, u, budget=total - 1)
+    assert (exc.value.projected, exc.value.context) == (total, law)
+    rep = check_law(law, u, budget=total)
+    assert rep.ok and rep.cases_checked == cases
 
 
 def test_check_law_dispatch():

@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from galoischeck import (
-    EasyCondition,
     EmptyCandidatesError,
     NoGreatestError,
     Pred,
@@ -49,28 +48,29 @@ def test_candidates_below_sublist():
 
 
 def test_best_under_picks_greatest_feasible():
-    all_even = EasyCondition(
-        lambda c, x: all_satisfy(EVEN, c), "every element even")
-    assert best_under(PREFIX, all_even, (2, 4, 5), U6) == (2, 4)
+    def all_even(c):
+        return all_satisfy(EVEN, c)
+    assert best_under(PREFIX, all_even, "every element even",
+                      (2, 4, 5), U6) == (2, 4)
 
-    all_odd = EasyCondition(
-        lambda c, x: all_satisfy(ODD, c), "every element odd")
-    assert best_under(SUBLIST, all_odd, (2, 4, 5), U6) == (5,)
+    def all_odd(c):
+        return all_satisfy(ODD, c)
+    assert best_under(SUBLIST, all_odd, "every element odd",
+                      (2, 4, 5), U6) == (5,)
 
-    assert best_under(PREFIX, all_even, (), U6) == ()
+    assert best_under(PREFIX, all_even, "every element even", (), U6) == ()
 
 
 def test_best_under_empty_feasible_set():
-    never = EasyCondition(lambda c, x: False, "nothing qualifies")
-    with pytest.raises(EmptyCandidatesError):
-        best_under(PREFIX, never, (2, 4, 5), U6)
+    with pytest.raises(EmptyCandidatesError, match="nothing qualifies"):
+        best_under(PREFIX, lambda c: False, "nothing qualifies",
+                   (2, 4, 5), U6)
 
 
 def test_best_under_reports_incomparable_maxima():
-    singletons = EasyCondition(
-        lambda c, x: len(c) == 1, "exactly one element")
-    with pytest.raises(NoGreatestError) as info:
-        best_under(SUBLIST, singletons, (2, 4), U6)
+    with pytest.raises(NoGreatestError, match="exactly one element") as info:
+        best_under(SUBLIST, lambda c: len(c) == 1, "exactly one element",
+                   (2, 4), U6)
     assert set(info.value.maxima) == {(2,), (4,)}
 
 
@@ -91,6 +91,11 @@ def test_oracle_spec_argument_validation():
         oracle_spec("zip", U6, xs=(2,))
     with pytest.raises(ValueError):
         oracle_spec("reverse", U6, xs=(2,))
+
+
+def test_oracle_refuses_a_negative_count_before_its_budget():
+    with pytest.raises(ValueError, match="take count must be non-negative"):
+        oracle_spec("take", Universe(2, 3), xs=(), n=-1, budget=0)
 
 
 def test_oracle_matches_direct_implementations_exhaustively():
