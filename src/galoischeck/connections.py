@@ -10,6 +10,12 @@ index in the fixed axis order, and on failure ``cases_checked`` is that
 violation's 1-based position.  Every entry point accepts ``workers=`` for
 compatibility and ignores it.
 
+A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row.
+It keeps one right-hand row per distinct ``upper(x)`` for that check only,
+which assumes that ``order_b.leq`` sees its second argument only through
+``==``; unhashable images are not memoized.  The left side runs on the
+candidates that meet the easy condition alone.
+
 Each target is described once, in ``SPECS`` (a combinator's split
 specification) and ``ADJOINTS`` (an adjoint presentation whose lower map is
 not the identity); the spec, gc, oracle and law checks all read these
@@ -26,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import compress, count, product, repeat
 from math import prod
-from operator import and_, ne
+from operator import ne, not_
 from time import perf_counter
 from typing import Callable, NamedTuple, Sequence
 
@@ -278,11 +284,17 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     lower map and one instance per predicate, whose candidate ranges over
     the easy set.  For a ``spec`` that ranges it over the whole carrier,
     ``feasible`` flags each candidate in the easy set, which the left side
-    then also requires.
+    then also requires.  ``pred`` and ``n`` are refused where the target's
+    parameter axis is not a predicate or a count.
     """
     s, adj = SPECS.get(name), ADJOINTS.get(name)
     if s is None and adj is None:
         raise ValueError(f"no adjoint presentation for target {name!r}")
+    param = s and s.param
+    if pred is not None and param != "p":
+        raise ValueError(f"a predicate does not apply to {name!r}")
+    if n is not None and param != "n":
+        raise ValueError(f"a count does not apply to {name!r}")
     if n is not None and n < 0:
         raise ValueError("take count must be non-negative")
     seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
@@ -303,7 +315,7 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
             return seqs
         return materialize_carrier(o.carrier, u)
 
-    if n is not None and s.param == "n":
+    if n is not None:
         xs = [(n, x) for x in seqs]
     else:
         xs = carrier(adj.order_a)
@@ -323,21 +335,50 @@ def build_gcs(name: str, u: Universe,
 def _equivalence(bindings: tuple, gc: CanonicalGC,
                  feasible: list | None = None) -> _Part:
     """The defining equivalence of ``gc`` over the product of its carriers,
-    one x against every y per row, with ``upper(x)`` computed once per row
-    and a false left side wherever a ``feasible`` flag is false."""
+    one x against every y per row, with a false left side wherever a
+    ``feasible`` flag is false.
+
+    The right-hand side depends on x only through ``upper(x)``, so each
+    check keeps one right-hand row per distinct image, filled the first
+    time a row meets it and dropped with the check.  This assumes that
+    ``order_b.leq`` sees its second argument only through ``==``; an
+    unhashable image is evaluated afresh on every row.  The left-hand side
+    is evaluated on the feasible candidates alone: elsewhere the case
+    fails exactly when the right flag is true, and each image stores the
+    first such index once, next to its row.
+    """
     ys = gc.y_axis[1]
 
     def start():
         leq_a, leq_b, upper = gc.order_a.leq, gc.order_b.leq, gc.upper
-        lows = list(map(gc.lower, ys))
+        flags = [True] * len(ys) if feasible is None else feasible
+        off = list(map(not_, flags))
+        lows = list(map(gc.lower, compress(ys, flags)))
+        at = list(compress(count(), flags))
+        stray_at = list(compress(count(), off))
+        rows: dict = {}
+
+        def row(image):
+            """The image's right flags on the feasible candidates, and the
+            first infeasible index whose right flag is true, or None."""
+            right = bytes(map(leq_b, ys, repeat(image)))
+            k = bytes(compress(right, off)).find(1)
+            stray = None if k < 0 else stray_at[k]
+            return bytes(compress(right, flags)), stray
 
         def first(x):
-            left = map(leq_a, lows, repeat(x))
-            if feasible is not None:
-                left = map(and_, feasible, left)
-            left, right = list(left), list(map(leq_b, ys, repeat(upper(x))))
-            return None if left == right else next(
-                compress(count(), map(ne, left, right)))
+            image = upper(x)
+            try:
+                right, stray = rows[image]
+            except KeyError:
+                right, stray = rows[image] = row(image)
+            except TypeError:
+                right, stray = row(image)
+            left = bytes(map(leq_a, lows, repeat(x)))
+            if left == right:
+                return stray
+            j = at[next(compress(count(), map(ne, left, right)))]
+            return j if stray is None else min(j, stray)
         return first
     return _Part(bindings, [gc.x_axis, gc.y_axis], _Rows(start))
 

@@ -31,9 +31,10 @@ def is_prefix(ys: Seq, xs: Seq) -> bool:
     Empty is below everything; otherwise the heads must agree and the tails
     must stay related.  Each loop step peels one head off both sides.
     """
+    n, m = len(ys), len(xs)
     i = 0
-    while i < len(ys):
-        if i >= len(xs) or ys[i] != xs[i]:
+    while i < n:
+        if i >= m or ys[i] != xs[i]:
             return False
         i += 1
     return True

@@ -1,6 +1,7 @@
 """The exhaustive checking engine: split specifications, adjunction
 candidates and their consequences, refutation search, and the law battery."""
 
+import dataclasses
 import itertools
 import random
 from functools import partial
@@ -32,9 +33,13 @@ from galoischeck import (
     oracle_spec,
     order_laws_report,
     run_check,
+    take_n,
+    take_while,
     unlines_join,
     unwords_join,
+    zip_pair,
 )
+from galoischeck.connections import SPECS
 from galoischeck.core import Carrier, CarrierKind, materialize_carrier
 from galoischeck.orders import PREFIX
 
@@ -217,6 +222,62 @@ def test_specs_agree_with_oracle_as_hard_side():
 def test_spec_unknown_name():
     with pytest.raises(ValueError):
         check_easy_hard("reverse", U23)
+
+
+@pytest.mark.parametrize("name,hard,verdict,cases,witness", [
+    ("takeWhile", lambda p, xs: list(take_while(p, xs)), "pass", 900, None),
+    ("take", lambda n, xs: list(take_n(n, xs)), "pass", 1125, None),
+    ("zip", lambda xs, ys: [list(z) for z in zip_pair(xs, ys)], "fail", 1362,
+     (("xs", (0,)), ("ys", (0,)), ("zs", ((0, 0),)))),
+])
+def test_unhashable_upper_images_keep_the_verdict(name, hard, verdict, cases,
+                                                  witness):
+    # list images cannot key the per-image row memo; each row evaluates its
+    # own, with the report an unmemoized scan gives
+    rep = check_easy_hard(name, U23, hard_fn=hard)
+    assert (rep.verdict, rep.cases_checked, rep.counterexample) == (
+        verdict, cases, witness)
+
+
+def _counting(order, calls, key):
+    def leq(a, b):
+        calls[key] += 1
+        return order.leq(a, b)
+    return dataclasses.replace(order, leq=leq)
+
+
+def test_right_rows_are_shared_across_equal_upper_images():
+    calls = {"a": 0, "b": 0}
+    [(_, gc)] = build_gcs("zip", U23)
+    gc = dataclasses.replace(gc, order_a=_counting(gc.order_a, calls, "a"),
+                             order_b=_counting(gc.order_b, calls, "b"))
+    rep = check_gc_instance(gc)
+    assert rep.ok and rep.cases_checked == 19125
+    # every case on the left, one right-hand row per image: 85 images x 85 ys
+    assert calls == {"a": 19125, "b": 85 * 85}
+
+
+def test_left_side_runs_on_easy_candidates_only(monkeypatch):
+    calls = {"sublist": 0}
+    spec = SPECS["filter"]
+    monkeypatch.setitem(SPECS, "filter", dataclasses.replace(
+        spec, order=_counting(spec.order, calls, "sublist")))
+    rep = check_easy_hard("filter", U23)
+    assert rep.ok and rep.cases_checked == 900
+    # 24 easy candidates against 15 inputs, 24 images against 15 candidates
+    assert calls["sublist"] == 720
+
+
+@pytest.mark.parametrize("check,name,kw", [
+    (check_easy_hard, "filter", {"n": 3}),
+    (check_easy_hard, "zip", {"n": 1}),
+    (check_easy_hard, "take", {"pred": Pred(1, 2)}),
+    (check_easy_hard, "zip", {"pred": Pred(1, 2)}),
+    (check_canonical_gc, "words-unwords", {"pred": Pred(1, 2)}),
+])
+def test_parameters_that_do_not_apply_are_refused(check, name, kw):
+    with pytest.raises(ValueError, match="does not apply to"):
+        check(name, Universe(2, 2), **kw)
 
 
 # --- adjunction candidates -------------------------------------------------
