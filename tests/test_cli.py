@@ -93,7 +93,8 @@ def test_oracle_zip_two_inputs(capsys):
     assert json.loads(out)["result"] == [[1, 4], [2, 5]]
 
 
-@pytest.mark.parametrize("argv", [
+# argv the CLI refuses as a usage error
+USAGE_ERRORS = [
     ("check-spec", "--target", "reverse"),
     ("check-order", "--target", "lexicographic"),
     ("check-gc", "--target", "reverse"),
@@ -114,7 +115,10 @@ def test_oracle_zip_two_inputs(capsys):
     ("oracle", "--target", "take", "--n", "-1", "--input", "0"),
     ("oracle", "--target", "zip", "--n", "1",
      "--input", "0", "--input", "1"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
