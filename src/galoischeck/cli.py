@@ -269,7 +269,7 @@ def _run_oracle(args, u: Universe) -> int:
 def run(args: argparse.Namespace) -> int:
     u = Universe(args.alphabet, args.max_len)
     fmt = args.format
-    kw = {"budget": args.budget, "workers": args.workers}
+    kw = {"budget": args.budget}
 
     if args.command == "list-targets":
         return _list_targets(fmt)

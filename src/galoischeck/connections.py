@@ -7,8 +7,7 @@ assignment of the outer axes against the whole last axis) at a time through
 C-level ``map`` iterators, and keeps witness selection deterministic: the
 reported counterexample is always the violation with the smallest flat
 index in the fixed axis order, and on failure ``cases_checked`` is that
-violation's 1-based position.  Every entry point accepts ``workers=`` for
-compatibility and ignores it.
+violation's 1-based position.
 
 A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row.
 It keeps one right-hand row per distinct ``upper(x)`` for that check only,
@@ -33,7 +32,6 @@ from functools import partial
 from itertools import compress, count, product, repeat
 from math import prod
 from operator import ne, not_
-from time import perf_counter
 from typing import Callable, NamedTuple, Sequence
 
 from .combinators import (
@@ -51,7 +49,6 @@ from .combinators import (
 )
 from .core import (
     DEFAULT_BUDGET,
-    Carrier,
     CarrierKind,
     CheckReport,
     Pred,
@@ -190,23 +187,19 @@ def _scan(axes: Sequence[Axis],
 
 
 def run_check(law_name: str, axes: Sequence[Axis], violates: Callable, *,
-              budget: int = DEFAULT_BUDGET, workers: int = 1) -> CheckReport:
+              budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Scan axes in lexicographic order for the first violation, a row (one
     assignment of the outer axes against the whole last axis) at a time,
     calling ``violates`` on every case up to the first violation, no further.
     The scan runs in one thread: under the interpreter lock threads only
     slowed it down."""
-    del workers
     total = prod(len(vals) for _, vals in axes)
     _within_budget(law_name, total, budget)
-    t0 = perf_counter()
     hit = _scan(axes, violates)
-    elapsed = perf_counter() - t0
-
     if hit is None:
-        return CheckReport(law_name, "pass", total, None, elapsed)
+        return CheckReport(law_name, "pass", total)
     flat, bindings = hit
-    return CheckReport(law_name, "fail", flat + 1, bindings, elapsed)
+    return CheckReport(law_name, "fail", flat + 1, bindings)
 
 
 def _within_budget(law: str, projected: int, budget: int) -> None:
@@ -221,14 +214,12 @@ def merge_reports(law_name: str,
     the first non-pass, prefixing that sub-report's witness with the given
     bindings; cases accumulate across the parts that ran."""
     cases = 0
-    elapsed = 0.0
     for bindings, rep in parts:
         cases += rep.cases_checked
-        elapsed += rep.elapsed
         if rep.verdict != "pass":
             cx = bindings + (rep.counterexample or ())
-            return CheckReport(law_name, rep.verdict, cases, cx, elapsed)
-    return CheckReport(law_name, "pass", cases, None, elapsed)
+            return CheckReport(law_name, rep.verdict, cases, cx)
+    return CheckReport(law_name, "pass", cases)
 
 
 class _Part(NamedTuple):
@@ -254,6 +245,24 @@ def _run_parts(law: str, parts: list[_Part], budget: int) -> CheckReport:
 
 def _preds_axis(u: Universe, pred: Pred | None) -> list[Pred]:
     return [pred] if pred is not None else list(enum_preds(u))
+
+
+def refuse_inapplicable(name: str, pred: Pred | None = None,
+                        n: int | None = None, ys: tuple | None = None) -> None:
+    """Refuse an input that does not apply to target ``name``: ``pred``
+    unless its parameter axis is a predicate, ``n`` unless it is a count, a
+    negative count, and ``ys`` unless it is zip, the one combinator without
+    a parameter."""
+    s = SPECS.get(name)
+    param = s and s.param
+    if pred is not None and param != "p":
+        raise ValueError(f"a predicate does not apply to {name!r}")
+    if n is not None and param != "n":
+        raise ValueError(f"a count does not apply to {name!r}")
+    if n is not None and n < 0:
+        raise ValueError("take count must be non-negative")
+    if ys is not None and (s is None or param is not None):
+        raise ValueError(f"a second sequence does not apply to {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +293,13 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     lower map and one instance per predicate, whose candidate ranges over
     the easy set.  For a ``spec`` that ranges it over the whole carrier,
     ``feasible`` flags each candidate in the easy set, which the left side
-    then also requires.  ``pred`` and ``n`` are refused where the target's
-    parameter axis is not a predicate or a count.
+    then also requires.
     """
     s, adj = SPECS.get(name), ADJOINTS.get(name)
     if s is None and adj is None:
         raise ValueError(f"no adjoint presentation for target {name!r}")
-    param = s and s.param
-    if pred is not None and param != "p":
-        raise ValueError(f"a predicate does not apply to {name!r}")
-    if n is not None and param != "n":
-        raise ValueError(f"a count does not apply to {name!r}")
-    if n is not None and n < 0:
-        raise ValueError("take count must be non-negative")
-    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
+    refuse_inapplicable(name, pred, n)
+    seqs = materialize_carrier(CarrierKind.SEQ, u)
     hard = hard or (s and s.hard)
     if adj is None:
         whole = spec and not s.feasible_only
@@ -311,7 +313,7 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
         return parts
 
     def carrier(o: OrderDef) -> list:
-        if o.carrier.kind is CarrierKind.SEQ:
+        if o.carrier is CarrierKind.SEQ:
             return seqs
         return materialize_carrier(o.carrier, u)
 
@@ -383,6 +385,7 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     return _Part(bindings, [gc.x_axis, gc.y_axis], _Rows(start))
 
 
+# ``workers`` is ignored; perfbench/workloads.py still passes it.
 def check_gc_instance(gc: CanonicalGC, *, budget: int = DEFAULT_BUDGET,
                       workers: int = 1) -> CheckReport:
     """Check the defining equivalence of one adjunction candidate over the
@@ -396,8 +399,7 @@ def _gc_parts(name: str, u: Universe, pred: Pred | None = None) -> list:
 
 
 def check_canonical_gc(name: str, u: Universe, *, pred: Pred | None = None,
-                       budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> CheckReport:
+                       budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Check the defining equivalence of the adjunction for every instance
     the target generates."""
     return _run_parts(f"gc:{name}", _gc_parts(name, u, pred), budget)
@@ -407,6 +409,7 @@ def check_canonical_gc(name: str, u: Universe, *, pred: Pred | None = None,
 # Split specifications: easy part + ordering against the combinator output.
 
 
+# ``workers`` is ignored; perfbench/workloads.py still passes it.
 def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
                     n: int | None = None, hard_fn: Callable | None = None,
                     budget: int = DEFAULT_BUDGET,
@@ -453,8 +456,8 @@ def _cancellation_parts(name: str, u: Universe, side: str,
 
 
 def check_cancellation(name: str, u: Universe, side: str, *,
-                       pred: Pred | None = None, budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> CheckReport:
+                       pred: Pred | None = None,
+                       budget: int = DEFAULT_BUDGET) -> CheckReport:
     """One cancellation consequence of the adjunction.
 
     left:  applying upper then lower lands at or below the input.
@@ -480,8 +483,7 @@ def _semi_inverse_parts(name: str, u: Universe,
 
 
 def check_semi_inverse(name: str, u: Universe, *, pred: Pred | None = None,
-                       budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> CheckReport:
+                       budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Round-trip identities: upper.lower.upper = upper over the x carrier,
     then lower.upper.lower = lower over the y carrier."""
     return _run_parts(f"semi-inverse:{name}",
@@ -510,8 +512,7 @@ def _injective_parts(name: str, u: Universe,
 
 def check_injective_adjoint(name: str, u: Universe, *,
                             pred: Pred | None = None,
-                            budget: int = DEFAULT_BUDGET,
-                            workers: int = 1) -> CheckReport:
+                            budget: int = DEFAULT_BUDGET) -> CheckReport:
     """When the lower map is injective on its carrier, upper must invert it
     exactly.  A collision makes the law inapplicable; the report then carries
     the colliding pair instead of failing."""
@@ -529,7 +530,7 @@ def _idempotent_parts(name: str, u: Universe,
     if spec is None or spec.param != "p":
         raise ValueError(f"idempotency does not apply to {name!r}")
     fn = spec.hard
-    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
+    seqs = materialize_carrier(CarrierKind.SEQ, u)
 
     def violates(p, xs):
         once = fn(p, xs)
@@ -539,8 +540,7 @@ def _idempotent_parts(name: str, u: Universe,
 
 
 def check_idempotent(name: str, u: Universe, *, pred: Pred | None = None,
-                     budget: int = DEFAULT_BUDGET,
-                     workers: int = 1) -> CheckReport:
+                     budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Applying the combinator twice with the same predicate changes
     nothing after the first application."""
     return _run_parts(f"idempotent:{name}",
@@ -552,7 +552,7 @@ def _fusion_parts(u: Universe) -> list:
         fn = SPECS[name].hard
         return fn(p, fn(q, xs)) != fn(pred_and(p, q), xs)
     preds = list(enum_preds(u))
-    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
+    seqs = materialize_carrier(CarrierKind.SEQ, u)
     return [_Part((), [(("combinator",), ["filter", "takeWhile"]),
                        (("p",), preds), (("q",), preds), (("xs",), seqs)],
                   violates)]
@@ -560,7 +560,7 @@ def _fusion_parts(u: Universe) -> list:
 
 def _split_append_parts(u: Universe) -> list:
     take, drop = SPECS["takeWhile"].hard, SPECS["dropWhile"].hard
-    seqs = materialize_carrier(Carrier(CarrierKind.SEQ), u)
+    seqs = materialize_carrier(CarrierKind.SEQ, u)
 
     def violates(p, xs):
         return take(p, xs) + drop(p, xs) != xs
@@ -580,8 +580,7 @@ def _indirect_equality_parts(order_name: str, u: Universe) -> list:
 
 
 def check_indirect_equality(order_name: str, u: Universe, *,
-                            budget: int = DEFAULT_BUDGET,
-                            workers: int = 1) -> CheckReport:
+                            budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Two elements with identical down-sets must be equal.  The inner
     quantifier makes one case cost up to a full carrier scan, hence the
     cubic budget projection."""
@@ -607,8 +606,7 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
     size = count_seq_lists(u)
     if size > budget:
         raise UniverseTooLargeError(size, budget, law)
-    t0 = perf_counter()
-    lists = materialize_carrier(Carrier(CarrierKind.SEQ_LIST), u)
+    lists = materialize_carrier(CarrierKind.SEQ_LIST, u)
     for i, ws in enumerate(lists):
         joined = join(ws)
         resplit = split(joined)
@@ -616,7 +614,7 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
         if rejoined != joined:
             cx = (("ws", ws), ("joined", joined), ("resplit", resplit),
                   ("rejoined", rejoined))
-            return CheckReport(law, "fail", i + 1, cx, perf_counter() - t0)
+            return CheckReport(law, "fail", i + 1, cx)
     raise WitnessNotFoundError(
         f"{name}: join.split.join = join holds for all {len(lists)} word "
         f"lists at alphabet={u.alphabet_size} max_len={u.max_len}")
@@ -626,13 +624,13 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
 # Law battery, one aggregated report per named law.
 
 
-def order_laws_report(order_name: str, u: Universe, *,
-                      budget: int = DEFAULT_BUDGET,
-                      workers: int = 1) -> tuple[CheckReport, object]:
+def order_laws_report(
+        order_name: str, u: Universe, *,
+        budget: int = DEFAULT_BUDGET) -> tuple[CheckReport, object]:
     """Merged three-law report for one order, plus its least element
     (None when no unique bottom exists)."""
     o = ORDERS[order_name]
-    rep = check_order_laws(o, u, budget=budget, workers=workers)
+    rep = check_order_laws(o, u, budget=budget)
     merged = merge_reports(
         f"order-laws:{order_name}",
         [((("law", "reflexive"),), rep.reflexive),
@@ -666,23 +664,22 @@ _LAWS = {
 LAW_NAMES = tuple(sorted([*_LAWS, "order-laws"]))
 
 
-def check_fusion(u: Universe, *, budget: int = DEFAULT_BUDGET,
-                 workers: int = 1) -> CheckReport:
+def check_fusion(u: Universe, *, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Two passes with predicates p then q collapse to one pass with their
     conjunction, for the combinators where the split ordering makes both
     sides pick from the same candidates."""
     return _run_parts("fusion", _fusion_parts(u), budget)
 
 
-def check_split_append(u: Universe, *, budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> CheckReport:
+def check_split_append(u: Universe, *,
+                       budget: int = DEFAULT_BUDGET) -> CheckReport:
     """The kept prefix and the dropped suffix of the same predicate
     reassemble the input exactly."""
     return _run_parts("split-append", _split_append_parts(u), budget)
 
 
-def check_law(law: str, u: Universe, *, budget: int = DEFAULT_BUDGET,
-              workers: int = 1) -> CheckReport:
+def check_law(law: str, u: Universe, *,
+              budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Run one named law across every target it applies to, in sorted
     target order, aggregated into a single report.  The budget covers every
     part of every target, so a refusal names the law alone.  order-laws is

@@ -10,7 +10,7 @@ from those two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -74,10 +74,6 @@ class Pred:
             raise ValueError(f"element {e} outside alphabet of size "
                              f"{self.alphabet_size}")
         return bool(self.mask >> e & 1)
-
-    @property
-    def members(self) -> tuple[Elem, ...]:
-        return tuple(e for e in range(self.alphabet_size) if self.mask >> e & 1)
 
     def bits(self) -> str:
         """Render as a 0b literal padded to the alphabet width."""
@@ -159,18 +155,13 @@ def pred_and(p: Pred, q: Pred) -> Pred:
 
 
 class CarrierKind(Enum):
+    """What a quantifier ranges over."""
+
     SEQ = "seq"
     PAIR_SEQ = "pair-seq"
     NAT_SEQ = "nat-seq"
     SEQ_PAIR = "seq-pair"
     SEQ_LIST = "seq-list"
-
-
-@dataclass(frozen=True)
-class Carrier:
-    """What a quantifier ranges over."""
-
-    kind: CarrierKind
 
 
 def nat_bound(u: Universe) -> int:
@@ -193,22 +184,21 @@ _CARRIERS = {
 }
 
 
-def enumerate_carrier(c: Carrier, u: Universe) -> Iterator[object]:
-    return _CARRIERS[c.kind][0](u)
+def enumerate_carrier(kind: CarrierKind, u: Universe) -> Iterator[object]:
+    return _CARRIERS[kind][0](u)
 
 
-def carrier_size_upper(c: Carrier, u: Universe) -> int:
+def carrier_size_upper(kind: CarrierKind, u: Universe) -> int:
     """Number of elements in the carrier."""
-    return _CARRIERS[c.kind][1](u)
+    return _CARRIERS[kind][1](u)
 
 
-def materialize_carrier(c: Carrier, u: Universe,
-                        cap: int = MATERIALIZE_CAP) -> list:
-    upper = carrier_size_upper(c, u)
-    if upper > cap:
-        raise UniverseTooLargeError(upper, cap,
-                                    f"carrier {c.kind.value} materialization")
-    return list(enumerate_carrier(c, u))
+def materialize_carrier(kind: CarrierKind, u: Universe) -> list:
+    upper = carrier_size_upper(kind, u)
+    if upper > MATERIALIZE_CAP:
+        raise UniverseTooLargeError(upper, MATERIALIZE_CAP,
+                                    f"carrier {kind.value} materialization")
+    return list(enumerate_carrier(kind, u))
 
 
 @dataclass(frozen=True)
@@ -224,7 +214,6 @@ class CheckReport:
     verdict: str  # "pass" | "fail" | "not-applicable"
     cases_checked: int
     counterexample: tuple[tuple[str, object], ...] | None = None
-    elapsed: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:

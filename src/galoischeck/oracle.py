@@ -25,7 +25,7 @@ from .core import (
 )
 # Unused here; perfbench/tracing.py wraps this module global by name.
 from .combinators import head_fails  # noqa: F401
-from .connections import ADJOINTS, SPECS
+from .connections import ADJOINTS, SPECS, refuse_inapplicable
 from .orders import OrderDef
 
 
@@ -103,8 +103,7 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
         spec.param, ("ys", ys))
     if xs is None or arg is None:
         raise ValueError(f"{name} oracle needs xs and {arg_name}")
-    if spec.param == "n" and n < 0:
-        raise ValueError("take count must be non-negative")
+    refuse_inapplicable(name, pred, n, ys)
     if spec.easy is None:
         # zip's easy condition reads the input: unzip zs <= (xs, ys)
         leq, lower = ADJOINTS[name].order_a.leq, ADJOINTS[name].lower

@@ -93,6 +93,18 @@ def test_oracle_spec_argument_validation():
         oracle_spec("reverse", U6, xs=(2,))
 
 
+@pytest.mark.parametrize("name,kw", [
+    ("zip", {"ys": (1,), "n": 1}),
+    ("filter", {"pred": Pred(1, 2), "n": -3, "ys": (1,)}),
+    ("filter", {"pred": Pred(1, 2), "ys": (1,)}),
+    ("take", {"n": 1, "pred": Pred(1, 2)}),
+    ("zip", {"ys": (1,), "pred": Pred(1, 2)}),
+])
+def test_oracle_refuses_parameters_that_do_not_apply(name, kw):
+    with pytest.raises(ValueError, match="does not apply to"):
+        oracle_spec(name, Universe(2, 5), xs=(0, 1), **kw)
+
+
 def test_oracle_refuses_a_negative_count_before_its_budget():
     with pytest.raises(ValueError, match="take count must be non-negative"):
         oracle_spec("take", Universe(2, 3), xs=(), n=-1, budget=0)

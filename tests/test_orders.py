@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from galoischeck import (
     DEFAULT_BUDGET,
     ORDERS,
-    Carrier,
     CarrierKind,
     CheckReport,
     OrderDef,
@@ -125,7 +124,7 @@ def test_order_laws_pass_with_expected_least(name, least):
 
 
 def test_always_true_relation_fails_antisymmetry_with_first_witness():
-    loose = OrderDef("loose", lambda a, b: True, Carrier(CarrierKind.SEQ))
+    loose = OrderDef("loose", lambda a, b: True, CarrierKind.SEQ)
     report = check_order_laws(loose, Universe(1, 1))
     assert report.reflexive.ok and report.transitive.ok
     assert not report.antisymmetric.ok
@@ -135,7 +134,7 @@ def test_always_true_relation_fails_antisymmetry_with_first_witness():
 
 def test_non_reflexive_relation_reports_first_element():
     strict = OrderDef("strict-len", lambda a, b: len(a) < len(b),
-                      Carrier(CarrierKind.SEQ))
+                      CarrierKind.SEQ)
     report = check_order_laws(strict, Universe(2, 2))
     assert not report.reflexive.ok
     assert report.reflexive.counterexample == (("x", ()),)
@@ -145,7 +144,7 @@ def test_non_transitive_relation_reports_first_chain():
     def step(a, b):
         return is_prefix(a, b) and len(b) - len(a) <= 1
 
-    gap = OrderDef("prefix-step", step, Carrier(CarrierKind.SEQ))
+    gap = OrderDef("prefix-step", step, CarrierKind.SEQ)
     report = check_order_laws(gap, Universe(1, 2))
     assert report.reflexive.ok and report.antisymmetric.ok
     assert not report.transitive.ok
@@ -154,7 +153,7 @@ def test_non_transitive_relation_reports_first_chain():
 
 
 def test_fallback_scan_budget_is_projected_upfront():
-    blind = OrderDef("blind-prefix", is_prefix, Carrier(CarrierKind.SEQ))
+    blind = OrderDef("blind-prefix", is_prefix, CarrierKind.SEQ)
     with pytest.raises(UniverseTooLargeError) as exc:
         check_order_laws(blind, Universe(2, 5), budget=1000)
     assert exc.value.projected == 63 + 63**2 + 63**3
@@ -166,14 +165,14 @@ def test_generator_scan_budget_is_enforced_live():
 
 
 def test_lying_generator_is_rejected():
-    lying = OrderDef("lying", is_prefix, Carrier(CarrierKind.SEQ),
+    lying = OrderDef("lying", is_prefix, CarrierKind.SEQ,
                      below=lambda y, u: [(0,)])
     with pytest.raises(ValueError, match="not below"):
         check_order_laws(lying, Universe(2, 2))
 
 
 def test_out_of_carrier_generator_is_rejected():
-    rogue = OrderDef("rogue", lambda a, b: True, Carrier(CarrierKind.SEQ),
+    rogue = OrderDef("rogue", lambda a, b: True, CarrierKind.SEQ,
                      below=lambda y, u: [(99,)])
     with pytest.raises(ValueError, match="outside the carrier"):
         check_order_laws(rogue, Universe(2, 2))
@@ -253,7 +252,7 @@ def all_prefixes(y, u):
     return [y[:i] for i in range(len(y) + 1)]
 
 
-SEQ = Carrier(CarrierKind.SEQ)
+SEQ = CarrierKind.SEQ
 HAND_MADE = {
     # not transitive: () <= (0,) <= (0, 0) but not () <= (0, 0)
     "prefix-step": OrderDef("prefix-step", prefix_step, SEQ,
