@@ -266,57 +266,47 @@ def _run_oracle(args, u: Universe) -> int:
     return 0
 
 
+# command -> (the targets it accepts, the noun its unknown-target message uses)
+_TARGETS = {
+    "check-order": (ORDERS, "ordering"),
+    "check-spec": (SPEC_NAMES, "combinator"),
+    "check-gc": (GC_TARGETS, "adjoint pair target"),
+    "check-laws": (LAW_NAMES, "law"),
+    "find-counterexample": (PAIR_NAMES, "splitter/joiner pair"),
+    "oracle": (SPEC_NAMES, "combinator"),
+}
+
+
 def run(args: argparse.Namespace) -> int:
     u = Universe(args.alphabet, args.max_len)
-    fmt = args.format
-    kw = {"budget": args.budget}
-
-    if args.command == "list-targets":
+    command, target, fmt = args.command, args.target, args.format
+    if command == "list-targets":
         return _list_targets(fmt)
+    targets, noun = _TARGETS[command]
+    if target not in targets:
+        return _usage(f"unknown {noun} {target!r}")
+    if command == "oracle":
+        return _run_oracle(args, u)
 
-    if args.command == "check-order":
-        if args.target not in ORDERS:
-            return _usage(f"unknown ordering {args.target!r}")
-        rep, least = order_laws_report(args.target, u, **kw)
-        extra = None
+    # Entry points are looked up when the command runs, so that a caller
+    # that rebinds one of these module globals is honoured.
+    kw = {"budget": args.budget}
+    extra = None
+    if command == "check-order":
+        rep, least = order_laws_report(target, u, **kw)
         if fmt == "text":
             shown = render_value(least) if least is not None else "none"
             extra = [f"least: {shown}"]
-        return emit_report(args.command, args.target, u, rep, fmt, extra)
-
-    if args.command == "check-spec":
-        if args.target not in SPEC_NAMES:
-            return _usage(f"unknown combinator {args.target!r}")
-        pred = _target_pred(args, u)
-        rep = check_easy_hard(args.target, u, pred=pred, n=args.n, **kw)
-        return emit_report(args.command, args.target, u, rep, fmt)
-
-    if args.command == "check-gc":
-        if args.target not in GC_TARGETS:
-            return _usage(f"unknown adjoint pair target {args.target!r}")
-        pred = _target_pred(args, u)
-        rep = check_canonical_gc(args.target, u, pred=pred, **kw)
-        return emit_report(args.command, args.target, u, rep, fmt)
-
-    if args.command == "check-laws":
-        if args.target not in LAW_NAMES:
-            return _usage(f"unknown law {args.target!r}")
-        rep = check_law(args.target, u, **kw)
-        return emit_report(args.command, args.target, u, rep, fmt)
-
-    if args.command == "find-counterexample":
-        if args.target not in PAIR_NAMES:
-            return _usage(f"unknown splitter/joiner pair {args.target!r}")
-        rep = find_non_gc_counterexample(args.target, u,
-                                         budget=args.budget)
-        return emit_report(args.command, args.target, u, rep, fmt)
-
-    if args.command == "oracle":
-        if args.target not in SPEC_NAMES:
-            return _usage(f"unknown combinator {args.target!r}")
-        return _run_oracle(args, u)
-
-    return _usage(f"unknown command {args.command!r}")
+    elif command == "check-spec":
+        rep = check_easy_hard(target, u, pred=_target_pred(args, u),
+                              n=args.n, **kw)
+    elif command == "check-gc":
+        rep = check_canonical_gc(target, u, pred=_target_pred(args, u), **kw)
+    elif command == "check-laws":
+        rep = check_law(target, u, **kw)
+    else:
+        rep = find_non_gc_counterexample(target, u, **kw)
+    return emit_report(command, target, u, rep, fmt, extra)
 
 
 def main(argv: list[str] | None = None) -> int:

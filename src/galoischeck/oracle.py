@@ -50,10 +50,8 @@ class NoGreatestError(OracleError):
 def candidates_below(o: OrderDef, x, u: Universe) -> list:
     """All carrier elements below x under o, duplicate-free, in carrier
     enumeration order."""
-    if o.below is not None:
-        members = set(o.below(x, u))
-        return [v for v in enumerate_carrier(o.carrier, u) if v in members]
-    return [v for v in enumerate_carrier(o.carrier, u) if o.leq(v, x)]
+    members = set(o.below(x, u))
+    return [v for v in enumerate_carrier(o.carrier, u) if v in members]
 
 
 def best_under(o: OrderDef, easy: Callable[[object], bool], says: str, x,
@@ -92,8 +90,9 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
 
     name selects the combinator; the keyword arguments supply its inputs
     (xs always; pred for the predicate family, n for take, ys for zip).
-    The search walks the order's whole carrier, so it refuses upfront when
-    that carrier holds more than ``budget`` elements.
+    An input sequence outside the universe ``u`` is refused.  The search
+    walks the order's whole carrier, so it refuses upfront when that
+    carrier holds more than ``budget`` elements.
     """
     spec = SPECS.get(name)
     if spec is None:
@@ -104,6 +103,11 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
     if xs is None or arg is None:
         raise ValueError(f"{name} oracle needs xs and {arg_name}")
     refuse_inapplicable(name, pred, n, ys)
+    for label, seq in (("xs", xs), ("ys", ys)):
+        if seq is not None and (len(seq) > u.max_len or not all(
+                0 <= e < u.alphabet_size for e in seq)):
+            raise ValueError(f"{label}={seq!r} is outside the universe "
+                             f"alphabet={u.alphabet_size} max_len={u.max_len}")
     if spec.easy is None:
         # zip's easy condition reads the input: unzip zs <= (xs, ys)
         leq, lower = ADJOINTS[name].order_a.leq, ADJOINTS[name].lower

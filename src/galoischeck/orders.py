@@ -109,8 +109,8 @@ def _seq_pair_below(v, u: Universe):
 
 @dataclass(frozen=True)
 class OrderDef:
-    """A named decidable relation with its carrier and, when known, an exact
-    generator of the elements below a given one.
+    """A named decidable relation with its carrier and a generator of the
+    elements below a given one, which every order needs.
 
     ``below`` must yield precisely { x : leq(x, y) }.  The law checker
     validates every yielded element against leq and the test suite checks
@@ -121,7 +121,7 @@ class OrderDef:
     name: str
     leq: Callable[[object, object], bool]
     carrier: CarrierKind
-    below: Callable[[object, Universe], Iterable[object]] | None = None
+    below: Callable[[object, Universe], Iterable[object]]
 
 
 PREFIX = OrderDef("prefix", is_prefix, CarrierKind.SEQ, _prefixes)
@@ -161,22 +161,17 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     """Exhaustively verify reflexivity, transitivity and antisymmetry of o
     over its carrier, and report the unique least element if one exists.
 
-    With a below-generator the scans only visit related pairs; without one a
-    full pair scan is used, whose worst case is cubic in the carrier size and
-    is budgeted upfront.  Either way the pairs found to hold are kept as one
-    ascending ``above`` index list per element.  Transitivity reuses them: a
-    chain x <= y <= z needs ``leq(x, z)`` only when z is not already known to
-    be above x.  The budget counts the evaluations actually made.  Failures
-    carry the first witness in enumeration order of the quantifiers.
+    The scans visit only the related pairs that the order's below-generator
+    yields, which are kept as one ascending ``above`` index list per
+    element.  Transitivity reuses them: a chain x <= y <= z needs
+    ``leq(x, z)`` only when z is not already known to be above x.  The
+    budget counts the evaluations actually made.  Failures carry the first
+    witness in enumeration order of the quantifiers.
     """
     elems = materialize_carrier(o.carrier, u)
     n = len(elems)
     leq = o.leq
     context = f"order-laws:{o.name}"
-    if o.below is None:
-        projected = n + n * n + n * n * n
-        if projected > budget:
-            raise UniverseTooLargeError(projected, budget, context)
 
     refl_cases = 0
     refl_cx = None
@@ -196,32 +191,24 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     # to hold.  Rows are filled in increasing j, so a repeated yield for the
     # current y is the one whose list already ends in j.
     above: list[list[int]] = [[] for _ in range(n)]
-    if o.below is not None:
-        index = {v: i for i, v in enumerate(elems)}
-        for j, y in enumerate(elems):
-            for x in o.below(y, u):
-                i = index.get(x)
-                if i is None:
-                    raise ValueError(f"below-generator for {o.name} yielded a "
-                                     f"value outside the carrier: {x!r}")
-                row = above[i]
-                if row and row[-1] == j:
-                    continue
-                evals += 1
-                if evals > budget:
-                    raise UniverseTooLargeError(evals, budget, context)
-                if not leq(x, y):
-                    raise ValueError(f"below-generator for {o.name} yielded "
-                                     f"{x!r} which is not below {y!r}")
-                row.append(j)
-        del index  # not needed past here; freeing it lowers the peak
-    else:
-        # The upfront projection covers every evaluation of this path.
-        evals += n * n
-        for j, y in enumerate(elems):
-            for i, x in enumerate(elems):
-                if leq(x, y):
-                    above[i].append(j)
+    index = {v: i for i, v in enumerate(elems)}
+    for j, y in enumerate(elems):
+        for x in o.below(y, u):
+            i = index.get(x)
+            if i is None:
+                raise ValueError(f"below-generator for {o.name} yielded a "
+                                 f"value outside the carrier: {x!r}")
+            row = above[i]
+            if row and row[-1] == j:
+                continue
+            evals += 1
+            if evals > budget:
+                raise UniverseTooLargeError(evals, budget, context)
+            if not leq(x, y):
+                raise ValueError(f"below-generator for {o.name} yielded "
+                                 f"{x!r} which is not below {y!r}")
+            row.append(j)
+    del index  # not needed past here; freeing it lowers the peak
 
     anti_cases = 0
     anti_cx = None

@@ -4,10 +4,12 @@ payload shape, exit codes, and argument validation."""
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from galoischeck.cli import main
+from galoischeck.connections import SPECS
 
 # every check payload carries exactly these keys, in this order
 REPORT_KEYS = ["command", "target", "universe", "cases_checked", "verdict",
@@ -93,6 +95,38 @@ def test_oracle_zip_two_inputs(capsys):
     assert json.loads(out)["result"] == [[1, 4], [2, 5]]
 
 
+ORACLE_FAILURE = ("oracle", "--target", "filter", "--pred", "0b11",
+                  "--input", "0,1")
+
+
+def test_oracle_reports_incomparable_maxima(capsys, monkeypatch):
+    monkeypatch.setitem(SPECS, "filter", replace(
+        SPECS["filter"], easy=lambda p, y: len(y) <= 1))
+    error = ("no greatest candidate below (0, 1) for: all elements satisfy "
+             "0b11; 2 maximal candidates")
+    code, out, err = run_cli(capsys, *ORACLE_FAILURE)
+    assert (code, err) == (1, "")
+    assert out == (f"target: filter\nerror: {error}\n"
+                   "  maximal: (0,)\n  maximal: (1,)\n")
+    code, out, err = run_cli(capsys, *ORACLE_FAILURE, "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["error"], payload["maxima"]) == (error, [[0], [1]])
+
+
+def test_oracle_reports_an_empty_feasible_set(capsys, monkeypatch):
+    monkeypatch.setitem(SPECS, "filter", replace(
+        SPECS["filter"], easy=lambda p, y: False))
+    error = "no candidate below (0, 1) satisfies: all elements satisfy 0b11"
+    code, out, err = run_cli(capsys, *ORACLE_FAILURE)
+    assert (code, err) == (1, "")
+    assert out == f"target: filter\nerror: {error}\n"
+    code, out, err = run_cli(capsys, *ORACLE_FAILURE, "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["error"] == error and "maxima" not in payload
+
+
 # argv the CLI refuses as a usage error
 USAGE_ERRORS = [
     ("check-spec", "--target", "reverse"),
@@ -115,6 +149,7 @@ USAGE_ERRORS = [
     ("oracle", "--target", "take", "--n", "-1", "--input", "0"),
     ("oracle", "--target", "zip", "--n", "1",
      "--input", "0", "--input", "1"),
+    ("oracle", "--target", "filter", "--pred", "0b01", "--input", "0,x"),
 ]
 
 

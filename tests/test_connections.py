@@ -192,6 +192,15 @@ def test_spec_catches_broken_take_while():
         ("p", Pred(0, 1)), ("xs", (0,)), ("ys", (0,)))
 
 
+def test_spec_catches_broken_take_at_one_count():
+    rep = check_easy_hard("take", U23, n=2,
+                          hard_fn=lambda n, xs: xs[:n + 1])
+    assert rep.verdict == "fail"
+    assert rep.cases_checked == 113
+    assert rep.counterexample == (
+        ("n", 2), ("xs", (0, 0, 0)), ("ys", (0, 0, 0)))
+
+
 def test_spec_catches_broken_drop_while():
     rep = check_easy_hard("dropWhile", Universe(2, 2),
                           hard_fn=lambda p, l: ())

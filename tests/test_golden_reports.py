@@ -4,6 +4,7 @@
   JSON, at (2,3) and (2,4); ``check-gc`` also covers the two splitters at
   (2,6);
 - every ``check-order`` report at (2,3), (3,2) and (2,4);
+- ``check-spec --target take --n k`` at (2,3) for k = 0 to 4;
 - every ``find-counterexample`` report at (2,4) and (2,6);
 - fixed ``oracle`` queries for every combinator at (2,5) and (3,3);
 - ``list-targets``;
@@ -87,6 +88,10 @@ RUNS = {
         for t, arglists in queries.items()
         for i, args in enumerate(arglists, 1)],
     "list-targets": [("list-targets", ())],
+    "check-spec": [
+        (f"take-n{k}-2-3", ("--target", "take", "--alphabet", "2",
+                            "--max-len", "3", "--n", str(k)))
+        for k in range(5)],
 }
 RUN_CASES = [(command, stem, argv, fmt) for command, runs in RUNS.items()
              for stem, argv in runs for fmt in FORMATS]

@@ -2,6 +2,7 @@
 order, checked against frozen examples and the direct implementations."""
 
 import itertools
+import re
 
 import pytest
 
@@ -103,6 +104,24 @@ def test_oracle_spec_argument_validation():
 def test_oracle_refuses_parameters_that_do_not_apply(name, kw):
     with pytest.raises(ValueError, match="does not apply to"):
         oracle_spec(name, Universe(2, 5), xs=(0, 1), **kw)
+
+
+@pytest.mark.parametrize("name,kw,bad", [
+    ("take", {"xs": (1, 1, 1, 1, 1), "n": 4}, "xs=(1, 1, 1, 1, 1)"),
+    ("take", {"xs": (5, 5, 5, 5, 5), "n": 2}, "xs=(5, 5, 5, 5, 5)"),
+    ("filter", {"xs": (0, 2, 1), "pred": Pred(1, 2)}, "xs=(0, 2, 1)"),
+    ("zip", {"xs": (0,), "ys": (0, 0, 0, 0)}, "ys=(0, 0, 0, 0)"),
+    ("zip", {"xs": (0,), "ys": (2,)}, "ys=(2,)"),
+])
+def test_oracle_refuses_inputs_outside_its_universe(name, kw, bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} is outside the "
+                       r"universe alphabet=2 max_len=3$"):
+        oracle_spec(name, Universe(2, 3), budget=0, **kw)
+
+
+def test_oracle_refuses_an_inapplicable_parameter_before_the_input():
+    with pytest.raises(ValueError, match="does not apply to"):
+        oracle_spec("take", Universe(2, 3), xs=(5,), n=1, pred=Pred(1, 2))
 
 
 def test_oracle_refuses_a_negative_count_before_its_budget():

@@ -123,8 +123,16 @@ def test_order_laws_pass_with_expected_least(name, least):
     assert report.least_element == least
 
 
+def scan_below(leq):
+    """A below-generator that scans the whole carrier."""
+    return lambda y, u: [x for x in enum_seqs(u) if leq(x, y)]
+
+
 def test_always_true_relation_fails_antisymmetry_with_first_witness():
-    loose = OrderDef("loose", lambda a, b: True, CarrierKind.SEQ)
+    def anything(a, b):
+        return True
+
+    loose = OrderDef("loose", anything, CarrierKind.SEQ, scan_below(anything))
     report = check_order_laws(loose, Universe(1, 1))
     assert report.reflexive.ok and report.transitive.ok
     assert not report.antisymmetric.ok
@@ -133,8 +141,11 @@ def test_always_true_relation_fails_antisymmetry_with_first_witness():
 
 
 def test_non_reflexive_relation_reports_first_element():
-    strict = OrderDef("strict-len", lambda a, b: len(a) < len(b),
-                      CarrierKind.SEQ)
+    def shorter(a, b):
+        return len(a) < len(b)
+
+    strict = OrderDef("strict-len", shorter, CarrierKind.SEQ,
+                      scan_below(shorter))
     report = check_order_laws(strict, Universe(2, 2))
     assert not report.reflexive.ok
     assert report.reflexive.counterexample == (("x", ()),)
@@ -144,19 +155,12 @@ def test_non_transitive_relation_reports_first_chain():
     def step(a, b):
         return is_prefix(a, b) and len(b) - len(a) <= 1
 
-    gap = OrderDef("prefix-step", step, CarrierKind.SEQ)
+    gap = OrderDef("prefix-step", step, CarrierKind.SEQ, scan_below(step))
     report = check_order_laws(gap, Universe(1, 2))
     assert report.reflexive.ok and report.antisymmetric.ok
     assert not report.transitive.ok
     assert report.transitive.counterexample == (
         ("x", ()), ("y", (0,)), ("z", (0, 0)))
-
-
-def test_fallback_scan_budget_is_projected_upfront():
-    blind = OrderDef("blind-prefix", is_prefix, CarrierKind.SEQ)
-    with pytest.raises(UniverseTooLargeError) as exc:
-        check_order_laws(blind, Universe(2, 5), budget=1000)
-    assert exc.value.projected == 63 + 63**2 + 63**3
 
 
 def test_generator_scan_budget_is_enforced_live():
@@ -195,8 +199,6 @@ def reference_order_laws(o, u, budget=DEFAULT_BUDGET):
     triple, refusing at the first evaluation past the budget."""
     elems = materialize_carrier(o.carrier, u)
     n = len(elems)
-    if o.below is None and n + n * n + n * n * n > budget:
-        raise UniverseTooLargeError(n + n * n + n * n * n, budget, o.name)
     evals = 0
 
     def leq(a, b):
@@ -219,9 +221,6 @@ def reference_order_laws(o, u, budget=DEFAULT_BUDGET):
     index = {v: i for i, v in enumerate(elems)}
     below = []
     for y in elems:
-        if o.below is None:
-            below.append([i for i, x in enumerate(elems) if leq(x, y)])
-            continue
         row = []
         for x in o.below(y, u):
             if index[x] in row:
@@ -266,12 +265,21 @@ HAND_MADE = {
     "length": OrderDef("length", lambda a, b: len(a) <= len(b), SEQ,
                        lambda y, u: [x for x in enum_seqs(u)
                                      if len(x) <= len(y)]),
-    "blind-prefix-step": OrderDef("blind-prefix-step", prefix_step, SEQ),
-    "blind-length": OrderDef("blind-length",
-                             lambda a, b: len(a) <= len(b), SEQ),
 }
 DIFFERENTIAL_ORDERS = [*ORDERS.values(), SEQ_PAIR_PREFIX, SEQ_LIST_PREFIX,
                        *HAND_MADE.values()]
+
+
+def counted_check(order, u):
+    """The unbounded report on order, and the leq evaluations it made."""
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return order.leq(a, b)
+
+    return check_order_laws(replace(order, leq=counted), u), calls
 
 
 @pytest.mark.parametrize("order", DIFFERENTIAL_ORDERS,
@@ -280,20 +288,16 @@ DIFFERENTIAL_ORDERS = [*ORDERS.values(), SEQ_PAIR_PREFIX, SEQ_LIST_PREFIX,
 def test_engine_matches_nested_loop_reference(order, k, L):
     u = Universe(k, L)
     expected = reference_order_laws(order, u)
-    calls = 0
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return order.leq(a, b)
-
-    got = check_order_laws(replace(order, leq=counted), u)
+    got, calls = counted_check(order, u)
     assert got == expected
-    for budget in (10, 100, 1000):
+    for budget in (10, 100, 1000, calls - 1, calls):
         try:
             bounded = check_order_laws(order, u, budget=budget)
-        except UniverseTooLargeError:
+        except UniverseTooLargeError as exc:
             bounded = None
+            if budget == calls - 1:
+                # refused at the last evaluation the unbounded check makes
+                assert exc.projected == calls
         try:
             reference_order_laws(order, u, budget=budget)
             reference_completes = True
@@ -301,9 +305,8 @@ def test_engine_matches_nested_loop_reference(order, k, L):
             reference_completes = False
         if reference_completes:
             assert bounded == expected
-        if order.below is not None:
-            # refused exactly when the evaluations it makes exceed the budget
-            assert (bounded is None) == (calls > budget)
+        # refused exactly when the evaluations it makes exceed the budget
+        assert (bounded is None) == (calls > budget)
         if bounded is not None:
             assert bounded == expected
 
@@ -325,7 +328,13 @@ def random_order(seed, u):
 def test_engine_matches_reference_on_random_relations(seed):
     u = Universe(2, 2)
     order = random_order(seed, u)
-    assert check_order_laws(order, u) == reference_order_laws(order, u)
+    expected = reference_order_laws(order, u)
+    got, calls = counted_check(order, u)
+    assert got == expected
+    with pytest.raises(UniverseTooLargeError) as exc:
+        check_order_laws(order, u, budget=calls - 1)
+    assert exc.value.projected == calls
+    assert check_order_laws(order, u, budget=calls) == expected
 
 
 @pytest.mark.parametrize("name,law,witness", [
