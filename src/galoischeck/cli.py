@@ -278,10 +278,10 @@ _TARGETS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    u = Universe(args.alphabet, args.max_len)
     command, target, fmt = args.command, args.target, args.format
     if command == "list-targets":
         return _list_targets(fmt)
+    u = Universe(args.alphabet, args.max_len)
     targets, noun = _TARGETS[command]
     if target not in targets:
         return _usage(f"unknown {noun} {target!r}")

@@ -53,7 +53,7 @@ from .core import (
     CheckReport,
     Pred,
     Universe,
-    UniverseTooLargeError,
+    _within_budget,
     all_satisfy,
     count_seq_lists,
     enum_preds,
@@ -202,12 +202,6 @@ def run_check(law_name: str, axes: Sequence[Axis], violates: Callable, *,
     return CheckReport(law_name, "fail", flat + 1, bindings)
 
 
-def _within_budget(law: str, projected: int, budget: int) -> None:
-    """Refuse upfront a check projected to exceed ``budget`` evaluations."""
-    if projected > budget:
-        raise UniverseTooLargeError(projected, budget, law)
-
-
 def merge_reports(law_name: str,
                   parts: Sequence[tuple[tuple, CheckReport]]) -> CheckReport:
     """Combine sub-reports run in a fixed order into one report.  Stops at
@@ -241,10 +235,6 @@ def _run_parts(law: str, parts: list[_Part], budget: int) -> CheckReport:
             for p in parts)
     return merge_reports(law, ((p.bindings, p.hit(rep) if p.hit and not rep.ok
                                 else rep) for p, rep in runs))
-
-
-def _preds_axis(u: Universe, pred: Pred | None) -> list[Pred]:
-    return [pred] if pred is not None else list(enum_preds(u))
 
 
 def refuse_inapplicable(name: str, pred: Pred | None = None,
@@ -304,7 +294,7 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     if adj is None:
         whole = spec and not s.feasible_only
         parts = []
-        for p in _preds_axis(u, pred):
+        for p in ([pred] if pred is not None else enum_preds(u)):
             flags = [s.easy(p, y) for y in seqs]
             gc = CanonicalGC(name, lambda y: y, partial(hard, p), s.order,
                              s.order, ((s.names[0],), seqs), ((s.names[1],),
@@ -444,19 +434,17 @@ def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
 # Consequences of the adjunction, each listed as its parts for one target.
 
 
-def _cancellation_parts(name: str, u: Universe, side: str,
-                        pred: Pred | None = None) -> list:
+def _cancellation_parts(name: str, u: Universe, side: str) -> list:
     if side not in ("left", "right"):
         raise ValueError(f"cancellation side must be left or right: {side!r}")
     if side == "left":
         return [_Part(b, [gc.x_axis], lambda x, gc=gc: not gc.order_a.leq(
-            gc.lower(gc.upper(x)), x)) for b, gc in build_gcs(name, u, pred)]
+            gc.lower(gc.upper(x)), x)) for b, gc in build_gcs(name, u)]
     return [_Part(b, [gc.y_axis], lambda y, gc=gc: not gc.order_b.leq(
-        y, gc.upper(gc.lower(y)))) for b, gc in build_gcs(name, u, pred)]
+        y, gc.upper(gc.lower(y)))) for b, gc in build_gcs(name, u)]
 
 
 def check_cancellation(name: str, u: Universe, side: str, *,
-                       pred: Pred | None = None,
                        budget: int = DEFAULT_BUDGET) -> CheckReport:
     """One cancellation consequence of the adjunction.
 
@@ -464,7 +452,7 @@ def check_cancellation(name: str, u: Universe, side: str, *,
     right: every y sits at or below upper(lower(y)).
     """
     return _run_parts(f"cancellation-{side}:{name}",
-                      _cancellation_parts(name, u, side, pred), budget)
+                      _cancellation_parts(name, u, side), budget)
 
 
 def _round_trip_moves(f: Callable, g: Callable, v) -> bool:
@@ -473,28 +461,26 @@ def _round_trip_moves(f: Callable, g: Callable, v) -> bool:
     return f(g(fv)) != fv
 
 
-def _semi_inverse_parts(name: str, u: Universe,
-                        pred: Pred | None = None) -> list:
-    return [part for b, gc in build_gcs(name, u, pred) for part in (
+def _semi_inverse_parts(name: str, u: Universe) -> list:
+    return [part for b, gc in build_gcs(name, u) for part in (
         _Part(b + (("equation", "g.f.g = g"),), [gc.x_axis],
               partial(_round_trip_moves, gc.upper, gc.lower)),
         _Part(b + (("equation", "f.g.f = f"),), [gc.y_axis],
               partial(_round_trip_moves, gc.lower, gc.upper)))]
 
 
-def check_semi_inverse(name: str, u: Universe, *, pred: Pred | None = None,
+def check_semi_inverse(name: str, u: Universe, *,
                        budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Round-trip identities: upper.lower.upper = upper over the x carrier,
     then lower.upper.lower = lower over the y carrier."""
     return _run_parts(f"semi-inverse:{name}",
-                      _semi_inverse_parts(name, u, pred), budget)
+                      _semi_inverse_parts(name, u), budget)
 
 
-def _injective_parts(name: str, u: Universe,
-                     pred: Pred | None = None) -> list:
+def _injective_parts(name: str, u: Universe) -> list:
     """Per instance, a scan for a repeated lower image, then the inverse."""
     parts = []
-    for b, gc in build_gcs(name, u, pred):
+    for b, gc in build_gcs(name, u):
         seen: dict = {}
 
         def not_applicable(rep, gc=gc, seen=seen):
@@ -511,21 +497,19 @@ def _injective_parts(name: str, u: Universe,
 
 
 def check_injective_adjoint(name: str, u: Universe, *,
-                            pred: Pred | None = None,
                             budget: int = DEFAULT_BUDGET) -> CheckReport:
     """When the lower map is injective on its carrier, upper must invert it
     exactly.  A collision makes the law inapplicable; the report then carries
     the colliding pair instead of failing."""
     return _run_parts(f"injective-adjoint:{name}",
-                      _injective_parts(name, u, pred), budget)
+                      _injective_parts(name, u), budget)
 
 
 # ---------------------------------------------------------------------------
 # Equational consequences on the combinators themselves, read from SPECS.
 
 
-def _idempotent_parts(name: str, u: Universe,
-                      pred: Pred | None = None) -> list:
+def _idempotent_parts(name: str, u: Universe) -> list:
     spec = SPECS.get(name)
     if spec is None or spec.param != "p":
         raise ValueError(f"idempotency does not apply to {name!r}")
@@ -535,16 +519,16 @@ def _idempotent_parts(name: str, u: Universe,
     def violates(p, xs):
         once = fn(p, xs)
         return fn(p, once) != once
-    return [_Part((), [(("p",), _preds_axis(u, pred)), (("xs",), seqs)],
+    return [_Part((), [(("p",), list(enum_preds(u))), (("xs",), seqs)],
                   violates)]
 
 
-def check_idempotent(name: str, u: Universe, *, pred: Pred | None = None,
+def check_idempotent(name: str, u: Universe, *,
                      budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Applying the combinator twice with the same predicate changes
     nothing after the first application."""
     return _run_parts(f"idempotent:{name}",
-                      _idempotent_parts(name, u, pred), budget)
+                      _idempotent_parts(name, u), budget)
 
 
 def _fusion_parts(u: Universe) -> list:
@@ -603,9 +587,7 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
         raise ValueError(f"not a splitter/joiner pair: {name!r}")
     join, split = ADJOINTS[name].lower, ADJOINTS[name].upper
     law = f"non-gc:{name}"
-    size = count_seq_lists(u)
-    if size > budget:
-        raise UniverseTooLargeError(size, budget, law)
+    _within_budget(law, count_seq_lists(u), budget)
     lists = materialize_carrier(CarrierKind.SEQ_LIST, u)
     for i, ws in enumerate(lists):
         joined = join(ws)

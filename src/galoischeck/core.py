@@ -39,6 +39,12 @@ class UniverseTooLargeError(Exception):
         super().__init__(msg)
 
 
+def _within_budget(context: str, projected: int, budget: int) -> None:
+    """Refuse upfront work projected to exceed ``budget`` evaluations."""
+    if projected > budget:
+        raise UniverseTooLargeError(projected, budget, context)
+
+
 @dataclass(frozen=True)
 class Universe:
     """Enumeration bounds: alphabet {0..alphabet_size-1}, lengths 0..max_len."""
@@ -194,10 +200,8 @@ def carrier_size_upper(kind: CarrierKind, u: Universe) -> int:
 
 
 def materialize_carrier(kind: CarrierKind, u: Universe) -> list:
-    upper = carrier_size_upper(kind, u)
-    if upper > MATERIALIZE_CAP:
-        raise UniverseTooLargeError(upper, MATERIALIZE_CAP,
-                                    f"carrier {kind.value} materialization")
+    _within_budget(f"carrier {kind.value} materialization",
+                   carrier_size_upper(kind, u), MATERIALIZE_CAP)
     return list(enumerate_carrier(kind, u))
 
 

@@ -18,7 +18,7 @@ from .core import (
     Pred,
     Seq,
     Universe,
-    UniverseTooLargeError,
+    _within_budget,
     carrier_size_upper,
     enum_pair_seqs,
     enumerate_carrier,
@@ -119,8 +119,7 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
         x, easy = xs, partial(spec.easy, arg)
         says = spec.says.format(arg.bits() if spec.param == "p" else arg)
 
-    size = carrier_size_upper(spec.order.carrier, u)
-    if size > budget:
-        raise UniverseTooLargeError(size, budget, f"oracle:{name}")
+    _within_budget(f"oracle:{name}", carrier_size_upper(spec.order.carrier, u),
+                   budget)
     candidates = _zip_candidates(xs, ys, u) if spec.easy is None else None
     return best_under(spec.order, easy, says, x, u, candidates=candidates)

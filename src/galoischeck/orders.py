@@ -164,33 +164,67 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     The scans visit only the related pairs that the order's below-generator
     yields, which are kept as one ascending ``above`` index list per
     element.  Transitivity reuses them: a chain x <= y <= z needs
-    ``leq(x, z)`` only when z is not already known to be above x.  The
-    budget counts the evaluations actually made.  Failures carry the first
-    witness in enumeration order of the quantifiers.
+    ``leq(x, z)`` only when z is not already known to be above x.  Every
+    evaluation goes through one counted relation, so the budget counts the
+    evaluations actually made.  Failures carry the first witness in
+    enumeration order of the quantifiers.
     """
     elems = materialize_carrier(o.carrier, u)
     n = len(elems)
     leq = o.leq
     context = f"order-laws:{o.name}"
-
-    refl_cases = 0
-    refl_cx = None
-    for x in elems:
-        refl_cases += 1
-        if refl_cases > budget:
-            raise UniverseTooLargeError(refl_cases, budget, context)
-        if not leq(x, x):
-            refl_cx = (("x", x),)
-            break
-    reflexive = CheckReport(f"reflexive:{o.name}",
-                            "fail" if refl_cx else "pass",
-                            refl_cases, refl_cx)
-    evals = refl_cases
-
+    evals = 0
     # above[i] lists, ascending, every j with leq(elems[i], elems[j]) known
     # to hold.  Rows are filled in increasing j, so a repeated yield for the
     # current y is the one whose list already ends in j.
     above: list[list[int]] = [[] for _ in range(n)]
+
+    def holds(a, b) -> bool:
+        nonlocal evals
+        evals += 1
+        if evals > budget:
+            raise UniverseTooLargeError(evals, budget, context)
+        return leq(a, b)
+
+    def report(law: str, cases: int, cx: tuple | None) -> CheckReport:
+        return CheckReport(f"{law}:{o.name}", "fail" if cx else "pass",
+                           cases, cx)
+
+    def reflexive():
+        for cases, x in enumerate(elems, 1):
+            if not holds(x, x):
+                return cases, (("x", x),)
+        return n, None
+
+    def antisymmetric():
+        cases = 0
+        for i, x in enumerate(elems):
+            for j in above[i]:
+                cases += 1
+                if i != j and holds(elems[j], x):
+                    return cases, (("x", x), ("y", elems[j]))
+        return cases, None
+
+    def transitive():
+        cases = 0
+        for i, x in enumerate(elems):
+            proven = set(above[i])
+            for j in above[i]:
+                row = above[j]
+                if proven.issuperset(row):
+                    cases += len(row)
+                    continue
+                for k in row:
+                    cases += 1
+                    if k in proven:
+                        continue
+                    if not holds(x, elems[k]):
+                        return cases, (("x", x), ("y", elems[j]),
+                                       ("z", elems[k]))
+                    proven.add(k)
+        return cases, None
+
+    refl = report("reflexive", *reflexive())
     index = {v: i for i, v in enumerate(elems)}
     for j, y in enumerate(elems):
         for x in o.below(y, u):
@@ -201,63 +235,14 @@ def check_order_laws(o: OrderDef, u: Universe, *,
             row = above[i]
             if row and row[-1] == j:
                 continue
-            evals += 1
-            if evals > budget:
-                raise UniverseTooLargeError(evals, budget, context)
-            if not leq(x, y):
+            if not holds(x, y):
                 raise ValueError(f"below-generator for {o.name} yielded "
                                  f"{x!r} which is not below {y!r}")
             row.append(j)
     del index  # not needed past here; freeing it lowers the peak
-
-    anti_cases = 0
-    anti_cx = None
-    for i, x in enumerate(elems):
-        for j in above[i]:
-            anti_cases += 1
-            if i == j:
-                continue
-            evals += 1
-            if evals > budget:
-                raise UniverseTooLargeError(evals, budget, context)
-            if leq(elems[j], x):
-                anti_cx = (("x", x), ("y", elems[j]))
-                break
-        if anti_cx:
-            break
-    antisymmetric = CheckReport(f"antisymmetric:{o.name}",
-                                "fail" if anti_cx else "pass",
-                                anti_cases, anti_cx)
-
-    trans_cases = 0
-    trans_cx = None
-    for i, x in enumerate(elems):
-        proven = set(above[i])
-        for j in above[i]:
-            row = above[j]
-            if proven.issuperset(row):
-                trans_cases += len(row)
-                continue
-            for k in row:
-                trans_cases += 1
-                if k in proven:
-                    continue
-                evals += 1
-                if evals > budget:
-                    raise UniverseTooLargeError(evals, budget, context)
-                if not leq(x, elems[k]):
-                    trans_cx = (("x", x), ("y", elems[j]), ("z", elems[k]))
-                    break
-                proven.add(k)
-            if trans_cx:
-                break
-        if trans_cx:
-            break
-    transitive = CheckReport(f"transitive:{o.name}",
-                             "fail" if trans_cx else "pass",
-                             trans_cases, trans_cx)
+    anti = report("antisymmetric", *antisymmetric())
+    trans = report("transitive", *transitive())
 
     bottoms = [i for i in range(n) if len(above[i]) == n]
     least = elems[bottoms[0]] if len(bottoms) == 1 else None
-
-    return OrderLawReport(reflexive, transitive, antisymmetric, least)
+    return OrderLawReport(refl, trans, anti, least)

@@ -229,6 +229,12 @@ def test_list_targets_json(capsys):
                                "zip"]
 
 
+def test_list_targets_ignores_the_universe_flags(capsys):
+    plain = run_cli(capsys, "list-targets")
+    assert run_cli(capsys, "list-targets", "--alphabet", "0") == plain
+    assert plain[0] == 0
+
+
 def test_budget_exhaustion_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "check-spec", "--target", "zip", "--budget", "1000")

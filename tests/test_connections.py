@@ -406,6 +406,17 @@ def test_non_gc_witnesses_self_validate():
         assert env["rejoined"] != env["joined"]
 
 
+def test_non_gc_budget_boundary_is_the_word_list_count():
+    # Universe(2, 4) holds 41 word lists
+    u = Universe(2, 4)
+    with pytest.raises(UniverseTooLargeError) as exc:
+        find_non_gc_counterexample("words-unwords", u, budget=40)
+    assert (exc.value.projected, exc.value.budget, exc.value.context) == (
+        41, 40, "non-gc:words-unwords")
+    rep = find_non_gc_counterexample("words-unwords", u, budget=41)
+    assert (rep.cases_checked, rep.counterexample[0]) == (3, ("ws", ((), ())))
+
+
 def test_non_gc_search_can_come_up_empty():
     with pytest.raises(WitnessNotFoundError, match="all 1 word"):
         find_non_gc_counterexample("words-unwords", Universe(2, 0))

@@ -11,6 +11,7 @@ from galoischeck import (
     NoGreatestError,
     Pred,
     Universe,
+    UniverseTooLargeError,
     all_satisfy,
     best_under,
     candidates_below,
@@ -127,6 +128,16 @@ def test_oracle_refuses_an_inapplicable_parameter_before_the_input():
 def test_oracle_refuses_a_negative_count_before_its_budget():
     with pytest.raises(ValueError, match="take count must be non-negative"):
         oracle_spec("take", Universe(2, 3), xs=(), n=-1, budget=0)
+
+
+def test_oracle_budget_boundary_is_the_carrier_size():
+    # filter searches the 15 sequences of Universe(2, 3)
+    u, kw = Universe(2, 3), {"xs": (1, 0, 1), "pred": Pred(0b01, 2)}
+    with pytest.raises(UniverseTooLargeError) as exc:
+        oracle_spec("filter", u, budget=14, **kw)
+    assert (exc.value.projected, exc.value.budget, exc.value.context) == (
+        15, 14, "oracle:filter")
+    assert oracle_spec("filter", u, budget=15, **kw) == (0,)
 
 
 def test_oracle_matches_direct_implementations_exhaustively():
