@@ -36,9 +36,42 @@ from .core import (
     Pred,
     Universe,
     UniverseTooLargeError,
+    _known,
 )
 from .oracle import NoGreatestError, OracleError, oracle_spec
 from .orders import ORDERS
+
+
+_PRED = ("--pred", {"help": "restrict to one predicate bitmask"})
+
+# command -> (its help, --target help, the targets it accepts, the noun its
+# unknown-target message uses, its own flags after the common ones)
+_COMMANDS = {
+    "check-order": ("partial order laws for a named ordering",
+                    "ordering name (see list-targets)", ORDERS, "ordering",
+                    ()),
+    "check-spec": ("easy/hard split specification of a combinator",
+                   "combinator name (see list-targets)", SPEC_NAMES,
+                   "combinator", (_PRED, ("--n", {
+                       "type": int, "help": "restrict take to one count"}))),
+    "check-gc": ("defining equivalence of the adjoint pair",
+                 "combinator or splitter/joiner pair name", GC_TARGETS,
+                 "adjoint pair target", (_PRED,)),
+    "check-laws": ("one named law across all applicable targets",
+                   "law name (see list-targets)", LAW_NAMES, "law", ()),
+    "find-counterexample": ("search for a round-trip failure refuting a "
+                            "claimed adjunction", "splitter/joiner pair name",
+                            PAIR_NAMES, "splitter/joiner pair", ()),
+    "oracle": ("compute one combinator application from its split "
+               "specification alone", "combinator name", SPEC_NAMES,
+               "combinator", (
+                   ("--pred", {"help": "predicate bitmask"}),
+                   ("--n", {"type": int, "help": "count for take"}),
+                   ("--input", {"action": "append", "default": [], "help":
+                                "comma separated sequence; repeat for zip"}))),
+    "list-targets": ("everything the check commands accept", "ignored", None,
+                     None, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,10 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "adjoint-pair laws for sequence combinators over small "
                     "finite universes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, target_help: str,
-               target_required: bool = True) -> None:
-        p.add_argument("--target", required=target_required,
+    for command, row in _COMMANDS.items():
+        summary, target_help, targets, _, flags = row
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--target", required=targets is not None,
                        help=target_help)
         p.add_argument("--alphabet", type=int, default=2,
                        help="alphabet size (default 2)")
@@ -63,44 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility and ignored; scans "
                             "run sequentially")
-
-    p = sub.add_parser("check-order",
-                       help="partial order laws for a named ordering")
-    common(p, "ordering name (see list-targets)")
-
-    p = sub.add_parser("check-spec",
-                       help="easy/hard split specification of a combinator")
-    common(p, "combinator name (see list-targets)")
-    p.add_argument("--pred", help="restrict to one predicate bitmask")
-    p.add_argument("--n", type=int, help="restrict take to one count")
-
-    p = sub.add_parser("check-gc",
-                       help="defining equivalence of the adjoint pair")
-    common(p, "combinator or splitter/joiner pair name")
-    p.add_argument("--pred", help="restrict to one predicate bitmask")
-
-    p = sub.add_parser("check-laws",
-                       help="one named law across all applicable targets")
-    common(p, "law name (see list-targets)")
-
-    p = sub.add_parser("find-counterexample",
-                       help="search for a round-trip failure refuting a "
-                            "claimed adjunction")
-    common(p, "splitter/joiner pair name")
-
-    p = sub.add_parser("oracle",
-                       help="compute one combinator application from its "
-                            "split specification alone")
-    common(p, "combinator name")
-    p.add_argument("--pred", help="predicate bitmask")
-    p.add_argument("--n", type=int, help="count for take")
-    p.add_argument("--input", action="append", default=[],
-                   help="comma separated sequence; repeat for zip")
-
-    p = sub.add_parser("list-targets",
-                       help="everything the check commands accept")
-    common(p, "ignored", target_required=False)
-
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
     return parser
 
 
@@ -266,25 +263,13 @@ def _run_oracle(args, u: Universe) -> int:
     return 0
 
 
-# command -> (the targets it accepts, the noun its unknown-target message uses)
-_TARGETS = {
-    "check-order": (ORDERS, "ordering"),
-    "check-spec": (SPEC_NAMES, "combinator"),
-    "check-gc": (GC_TARGETS, "adjoint pair target"),
-    "check-laws": (LAW_NAMES, "law"),
-    "find-counterexample": (PAIR_NAMES, "splitter/joiner pair"),
-    "oracle": (SPEC_NAMES, "combinator"),
-}
-
-
 def run(args: argparse.Namespace) -> int:
     command, target, fmt = args.command, args.target, args.format
     if command == "list-targets":
         return _list_targets(fmt)
     u = Universe(args.alphabet, args.max_len)
-    targets, noun = _TARGETS[command]
-    if target not in targets:
-        return _usage(f"unknown {noun} {target!r}")
+    _, _, targets, noun, _ = _COMMANDS[command]
+    _known(noun, target, targets)
     if command == "oracle":
         return _run_oracle(args, u)
 

@@ -53,6 +53,7 @@ from .core import (
     CheckReport,
     Pred,
     Universe,
+    _known,
     _within_budget,
     all_satisfy,
     count_seq_lists,
@@ -82,7 +83,8 @@ Axis = tuple[tuple[str, ...], list]
 class Spec:
     """A combinator's split specification: its output is the greatest
     candidate under ``order`` that lies below the input and meets the easy
-    condition ``easy(param, y)``, which ``says`` describes.
+    condition, which ``says`` describes: ``easy(param, y)``, or with ``easy``
+    None (take and zip) its ``ADJOINTS`` row's ``lower(y) <= x``.
 
     ``param`` is the parameter axis: "p" (a predicate), "n" (a count) or
     None.  ``hard`` is the combinator; ``names`` are the witness names of
@@ -122,8 +124,7 @@ SPECS = {s.name: s for s in (
          "empty or head falsifies {}", ("l", "z"), feasible_only=True),
     Spec("filter", "p", SUBLIST, all_satisfy, filter_p,
          "all elements satisfy {}"),
-    Spec("take", "n", PREFIX, lambda n, ys: len(ys) <= n, take_n,
-         "length at most {}"),
+    Spec("take", "n", PREFIX, None, take_n, "length at most {}"),
     Spec("takeWhile", "p", PREFIX, all_satisfy, take_while,
          "all elements satisfy {}"),
     Spec("zip", None, PAIR_PREFIX, None, zip_pair,
@@ -285,9 +286,8 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     ``feasible`` flags each candidate in the easy set, which the left side
     then also requires.
     """
+    _known("adjoint pair target", name, GC_TARGETS)
     s, adj = SPECS.get(name), ADJOINTS.get(name)
-    if s is None and adj is None:
-        raise ValueError(f"no adjoint presentation for target {name!r}")
     refuse_inapplicable(name, pred, n)
     seqs = materialize_carrier(CarrierKind.SEQ, u)
     hard = hard or (s and s.hard)
@@ -424,8 +424,7 @@ def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
     a passing element), but they are downward closed inside that restricted
     carrier, which is also the carrier the adjoint presentation uses.
     """
-    if name not in SPECS:
-        raise ValueError(f"unknown split specification {name!r}")
+    _known("combinator", name, SPECS)
     return _run_parts(f"spec:{name}", [_equivalence(*i) for i in _parts(
         name, u, pred, n, hard_fn, spec=True)], budget)
 
@@ -510,8 +509,9 @@ def check_injective_adjoint(name: str, u: Universe, *,
 
 
 def _idempotent_parts(name: str, u: Universe) -> list:
-    spec = SPECS.get(name)
-    if spec is None or spec.param != "p":
+    _known("combinator", name, SPECS)
+    spec = SPECS[name]
+    if spec.param != "p":
         raise ValueError(f"idempotency does not apply to {name!r}")
     fn = spec.hard
     seqs = materialize_carrier(CarrierKind.SEQ, u)
@@ -553,6 +553,7 @@ def _split_append_parts(u: Universe) -> list:
 
 
 def _indirect_equality_parts(order_name: str, u: Universe) -> list:
+    _known("ordering", order_name, ORDERS)
     o = ORDERS[order_name]
     elems = materialize_carrier(o.carrier, u)
     leq = o.leq
@@ -583,8 +584,7 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
     every adjunction presentation with the joiner as lower map, since the
     identity is forced whenever one exists.  Refuses upfront when the
     carrier holds more than ``budget`` word lists."""
-    if name not in PAIR_NAMES:
-        raise ValueError(f"not a splitter/joiner pair: {name!r}")
+    _known("splitter/joiner pair", name, PAIR_NAMES)
     join, split = ADJOINTS[name].lower, ADJOINTS[name].upper
     law = f"non-gc:{name}"
     _within_budget(law, count_seq_lists(u), budget)
@@ -611,8 +611,8 @@ def order_laws_report(
         budget: int = DEFAULT_BUDGET) -> tuple[CheckReport, object]:
     """Merged three-law report for one order, plus its least element
     (None when no unique bottom exists)."""
-    o = ORDERS[order_name]
-    rep = check_order_laws(o, u, budget=budget)
+    _known("ordering", order_name, ORDERS)
+    rep = check_order_laws(ORDERS[order_name], u, budget=budget)
     merged = merge_reports(
         f"order-laws:{order_name}",
         [((("law", "reflexive"),), rep.reflexive),
@@ -671,6 +671,5 @@ def check_law(law: str, u: Universe, *,
         return merge_reports(law, (
             ((("order", t),), order_laws_report(t, u, budget=budget)[0])
             for t in sorted(ORDERS)))
-    if law not in _LAWS:
-        raise ValueError(f"unknown law {law!r}")
+    _known("law", law, _LAWS)
     return _run_parts(law, _LAWS[law](u), budget)

@@ -45,6 +45,12 @@ def _within_budget(context: str, projected: int, budget: int) -> None:
         raise UniverseTooLargeError(projected, budget, context)
 
 
+def _known(noun: str, name: str, names) -> None:
+    """Refuse a ``name`` outside ``names`` as an unknown ``noun``."""
+    if name not in names:
+        raise ValueError(f"unknown {noun} {name!r}")
+
+
 @dataclass(frozen=True)
 class Universe:
     """Enumeration bounds: alphabet {0..alphabet_size-1}, lengths 0..max_len."""

@@ -18,6 +18,7 @@ from .core import (
     Pred,
     Seq,
     Universe,
+    _known,
     _within_budget,
     carrier_size_upper,
     enum_pair_seqs,
@@ -94,9 +95,8 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
     walks the order's whole carrier, so it refuses upfront when that
     carrier holds more than ``budget`` elements.
     """
-    spec = SPECS.get(name)
-    if spec is None:
-        raise ValueError(f"no oracle for combinator {name!r}")
+    _known("combinator", name, SPECS)
+    spec = SPECS[name]
     # The second input is the parameter, or for zip the second sequence.
     arg_name, arg = {"p": ("pred", pred), "n": ("n", n)}.get(
         spec.param, ("ys", ys))
@@ -108,18 +108,20 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
                 0 <= e < u.alphabet_size for e in seq)):
             raise ValueError(f"{label}={seq!r} is outside the universe "
                              f"alphabet={u.alphabet_size} max_len={u.max_len}")
+    x = xs if ys is None else (xs, ys)
+    says = spec.says.format(arg.bits() if spec.param == "p" else arg)
     if spec.easy is None:
-        # zip's easy condition reads the input: unzip zs <= (xs, ys)
+        # take's and zip's condition is their ADJOINTS row's lower(y) <= x_a,
+        # where x_a is (n, xs) for take and (xs, ys) for zip
         leq, lower = ADJOINTS[name].order_a.leq, ADJOINTS[name].lower
-        x, says = (xs, ys), spec.says
+        x_a = x if n is None else (n, xs)
 
-        def easy(zs):
-            return leq(lower(zs), x)
+        def easy(y):
+            return leq(lower(y), x_a)
     else:
-        x, easy = xs, partial(spec.easy, arg)
-        says = spec.says.format(arg.bits() if spec.param == "p" else arg)
+        easy = partial(spec.easy, arg)
 
     _within_budget(f"oracle:{name}", carrier_size_upper(spec.order.carrier, u),
                    budget)
-    candidates = _zip_candidates(xs, ys, u) if spec.easy is None else None
+    candidates = None if ys is None else _zip_candidates(xs, ys, u)
     return best_under(spec.order, easy, says, x, u, candidates=candidates)

@@ -150,11 +150,6 @@ class OrderLawReport:
     antisymmetric: CheckReport
     least_element: object | None
 
-    @property
-    def ok(self) -> bool:
-        return (self.reflexive.ok and self.transitive.ok
-                and self.antisymmetric.ok)
-
 
 def check_order_laws(o: OrderDef, u: Universe, *,
                      budget: int = DEFAULT_BUDGET) -> OrderLawReport:

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from galoischeck.cli import main
+from galoischeck.cli import build_parser, main
 from galoischeck.connections import SPECS
 
 # every check payload carries exactly these keys, in this order
@@ -268,6 +268,39 @@ def test_help_and_missing_command(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     code, _, err = run_cli(capsys)
     assert code == 2 and "command" in err
+
+
+COMMON_FLAGS = {"alphabet": 2, "max_len": 5, "format": "text",
+                "budget": 100_000_000, "workers": 1}
+# subcommand -> the defaults of its own flags, after the common ones
+OWN_FLAGS = {
+    "check-order": {},
+    "check-spec": {"pred": None, "n": None},
+    "check-gc": {"pred": None},
+    "check-laws": {},
+    "find-counterexample": {},
+    "oracle": {"pred": None, "n": None, "input": []},
+    "list-targets": {},
+}
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_parser_keys_and_defaults(command):
+    args = build_parser().parse_args([command, "--target", "x"])
+    assert list(vars(args).items()) == list({
+        "command": command, "target": "x", **COMMON_FLAGS,
+        **OWN_FLAGS[command]}.items())
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_parser_requires_a_target_except_for_list_targets(capsys, command):
+    if command == "list-targets":
+        assert build_parser().parse_args([command]).target is None
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command])
+    assert exc.value.code == 2
+    assert "--target" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -494,6 +494,34 @@ def test_check_law_dispatch():
         check_law("associativity", u)
 
 
+# every library entry point that takes a name refuses an unknown one alike
+UNKNOWN_NAMES = [
+    (check_easy_hard, "reverse", "combinator"),
+    (check_easy_hard, "lines-unlines", "combinator"),
+    (partial(oracle_spec, xs=()), "reverse", "combinator"),
+    (check_canonical_gc, "reverse", "adjoint pair target"),
+    (build_gcs, "reverse", "adjoint pair target"),
+    (partial(check_cancellation, side="left"), "reverse",
+     "adjoint pair target"),
+    (check_semi_inverse, "reverse", "adjoint pair target"),
+    (check_injective_adjoint, "reverse", "adjoint pair target"),
+    (check_idempotent, "reverse", "combinator"),
+    (find_non_gc_counterexample, "take", "splitter/joiner pair"),
+    (check_law, "associativity", "law"),
+    (order_laws_report, "nope", "ordering"),
+    (check_indirect_equality, "nope", "ordering"),
+]
+
+
+@pytest.mark.parametrize("entry,name,noun", UNKNOWN_NAMES,
+                         ids=[f"{getattr(e, 'func', e).__name__}-{n}"
+                              for e, n, _ in UNKNOWN_NAMES])
+def test_unknown_names_are_refused_alike(entry, name, noun):
+    with pytest.raises(ValueError) as exc:
+        entry(name, U23)
+    assert str(exc.value) == f"unknown {noun} {name!r}"
+
+
 def test_reports_do_not_depend_on_worker_count():
     passing = check_easy_hard("takeWhile", U23)
     assert passing == check_easy_hard("takeWhile", U23, workers=4)

@@ -1,6 +1,7 @@
 """The search-based reference oracle: greatest feasible candidate under an
 order, checked against frozen examples and the direct implementations."""
 
+import dataclasses
 import itertools
 import re
 
@@ -15,6 +16,7 @@ from galoischeck import (
     all_satisfy,
     best_under,
     candidates_below,
+    check_easy_hard,
     drop_while,
     enum_preds,
     enum_seqs,
@@ -24,6 +26,7 @@ from galoischeck import (
     take_while,
     zip_pair,
 )
+from galoischeck.connections import ADJOINTS
 from galoischeck.orders import PREFIX, SUBLIST
 
 U6 = Universe(6, 3)
@@ -128,6 +131,17 @@ def test_oracle_refuses_an_inapplicable_parameter_before_the_input():
 def test_oracle_refuses_a_negative_count_before_its_budget():
     with pytest.raises(ValueError, match="take count must be non-negative"):
         oracle_spec("take", Universe(2, 3), xs=(), n=-1, budget=0)
+
+
+def test_oracle_and_spec_check_read_the_same_take_row(monkeypatch):
+    # take's easy condition lives in its ADJOINTS row alone: an off-by-one
+    # lower map there fails the spec check and changes the oracle's answer
+    u = Universe(2, 3)
+    assert oracle_spec("take", u, xs=(0, 1, 0), n=2) == (0, 1)
+    monkeypatch.setitem(ADJOINTS, "take", dataclasses.replace(
+        ADJOINTS["take"], lower=lambda ys: (len(ys) + 1, ys)))
+    assert check_easy_hard("take", u).verdict == "fail"
+    assert oracle_spec("take", u, xs=(0, 1, 0), n=2) == (0,)
 
 
 def test_oracle_budget_boundary_is_the_carrier_size():
