@@ -13,7 +13,11 @@ A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row.
 It keeps one right-hand row per distinct ``upper(x)`` for that check only,
 which assumes that ``order_b.leq`` sees its second argument only through
 ``==``; unhashable images are not memoized.  The left side runs on the
-candidates that meet the easy condition alone.
+candidates that meet the easy condition alone.  When ``order_a.leq`` is a
+componentwise order (it carries ``factors``), the check also keeps one left
+row per factor and distinct component of x, which assumes that each factor
+sees its side of x only through ``==``; unhashable components are not
+memoized either.
 
 Each target is described once, in ``SPECS`` (a combinator's split
 specification) and ``ADJOINTS`` (an adjoint presentation whose lower map is
@@ -28,10 +32,10 @@ them in order and merges their reports once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import compress, count, product, repeat
 from math import prod
-from operator import ne, not_
+from operator import and_, ne, not_
 from typing import Callable, NamedTuple, Sequence
 
 from .combinators import (
@@ -324,6 +328,36 @@ def build_gcs(name: str, u: Universe,
     return [(bindings, gc) for bindings, gc, _ in _parts(name, u, pred)]
 
 
+def _memoized(memo: dict, key, make: Callable):
+    """``make(key)``, kept in ``memo`` when ``key`` is hashable."""
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = make(key)
+        return value
+    except TypeError:
+        return make(key)
+
+
+def _row_of(leq: Callable, lows: list) -> Callable:
+    """x's row: ``leq(low, x)`` for every low, as bytes."""
+    return lambda x: bytes(map(leq, lows, repeat(x)))
+
+
+def _left_rows(leq: Callable, lows: list) -> Callable:
+    """x's left row over ``lows``: the AND of one memoized row per factor
+    and component of x when ``leq`` carries ``factors``, else one call per
+    low."""
+    factors = getattr(leq, "factors", None)
+    if factors is None:
+        return _row_of(leq, lows)
+    parts = [_row_of(f, [low[i] for low in lows])
+             for i, f in enumerate(factors)]
+    memos = [{} for _ in factors]
+    return lambda x: reduce(lambda row, other: bytes(map(and_, row, other)),
+                            map(_memoized, memos, x, parts))
+
+
 def _equivalence(bindings: tuple, gc: CanonicalGC,
                  feasible: list | None = None) -> _Part:
     """The defining equivalence of ``gc`` over the product of its carriers,
@@ -338,14 +372,21 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     is evaluated on the feasible candidates alone: elsewhere the case
     fails exactly when the right flag is true, and each image stores the
     first such index once, next to its row.
+
+    When ``order_a.leq`` carries ``factors``, the left side likewise keeps
+    one row per factor and distinct component of x, and a case's left row
+    is the AND of its components' rows.  This assumes that each factor sees
+    its side of x only through ``==``; an unhashable component is evaluated
+    afresh.  Any other relation runs once per feasible case.
     """
     ys = gc.y_axis[1]
 
     def start():
-        leq_a, leq_b, upper = gc.order_a.leq, gc.order_b.leq, gc.upper
+        leq_b, upper = gc.order_b.leq, gc.upper
         flags = [True] * len(ys) if feasible is None else feasible
         off = list(map(not_, flags))
-        lows = list(map(gc.lower, compress(ys, flags)))
+        left_of = _left_rows(gc.order_a.leq,
+                             list(map(gc.lower, compress(ys, flags))))
         at = list(compress(count(), flags))
         stray_at = list(compress(count(), off))
         rows: dict = {}
@@ -359,14 +400,8 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
             return bytes(compress(right, flags)), stray
 
         def first(x):
-            image = upper(x)
-            try:
-                right, stray = rows[image]
-            except KeyError:
-                right, stray = rows[image] = row(image)
-            except TypeError:
-                right, stray = row(image)
-            left = bytes(map(leq_a, lows, repeat(x)))
+            right, stray = _memoized(rows, upper(x), row)
+            left = left_of(x)
             if left == right:
                 return stray
             j = at[next(compress(count(), map(ne, left, right)))]

@@ -9,6 +9,7 @@ test suite as independent cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterable
 
 from .core import (
@@ -63,17 +64,24 @@ def is_suffix(s: Seq, l: Seq) -> bool:
         l = l[1:]
 
 
-def product_order(a: tuple[int, Seq], b: tuple[int, Seq]) -> bool:
-    """Componentwise order on (count, sequence): numeric on the left,
-    prefix on the right."""
-    m, ys = a
-    n, xs = b
-    return m <= n and is_prefix(ys, xs)
+def componentwise(first: Callable, second: Callable, *,
+                  name: str) -> Callable:
+    """The product of two orders on pairs: a pair is below another exactly
+    when each component is below its counterpart under the factor at its
+    position.  The relation keeps its factors in ``.factors``, so a scan can
+    evaluate each component on its own."""
+    def leq(a: tuple, b: tuple) -> bool:
+        return first(a[0], b[0]) and second(a[1], b[1])
+    leq.__name__ = leq.__qualname__ = name
+    leq.factors = (first, second)
+    return leq
 
 
-def seq_pair_prefix(a: tuple[Seq, Seq], b: tuple[Seq, Seq]) -> bool:
-    """Componentwise prefix on pairs of sequences."""
-    return is_prefix(a[0], b[0]) and is_prefix(a[1], b[1])
+# Componentwise order on (count, sequence): numeric on the left, prefix on
+# the right.
+product_order = componentwise(le, is_prefix, name="product_order")
+# Componentwise prefix on pairs of sequences.
+seq_pair_prefix = componentwise(is_prefix, is_prefix, name="seq_pair_prefix")
 
 
 # Pair sequences and word lists compare their elements by equality, so their

@@ -41,7 +41,7 @@ from galoischeck import (
 )
 from galoischeck.connections import SPECS
 from galoischeck.core import CarrierKind, materialize_carrier
-from galoischeck.orders import PREFIX
+from galoischeck.orders import PREFIX, componentwise, is_prefix
 
 U23 = Universe(2, 3)
 U26 = Universe(2, 6)
@@ -263,6 +263,38 @@ def test_right_rows_are_shared_across_equal_upper_images():
     assert rep.ok and rep.cases_checked == 19125
     # every case on the left, one right-hand row per image: 85 images x 85 ys
     assert calls == {"a": 19125, "b": 85 * 85}
+
+
+def test_componentwise_left_rows_are_kept_per_component_value():
+    calls = {"xs": 0, "ys": 0, "b": 0}
+
+    def counting(key):
+        def leq(a, b):
+            calls[key] += 1
+            return is_prefix(a, b)
+        return leq
+    [(_, gc)] = build_gcs("zip", U23)
+    order_a = dataclasses.replace(gc.order_a, leq=componentwise(
+        counting("xs"), counting("ys"), name="counted"))
+    gc = dataclasses.replace(gc, order_a=order_a,
+                             order_b=_counting(gc.order_b, calls, "b"))
+    rep = check_gc_instance(gc)
+    assert rep.ok and rep.cases_checked == 19125
+    # one row of 85 lows per distinct xs and per distinct ys (15 each)
+    assert calls == {"xs": 15 * 85, "ys": 15 * 85, "b": 85 * 85}
+
+
+def test_unhashable_components_keep_the_report():
+    # list components cannot key the per-component row memo; each row
+    # evaluates its own, with the report the per-case relation gives
+    [(_, gc)] = build_gcs("zip", U23)
+    xs = [(list(a), list(b)) for a, b in gc.x_axis[1]]
+    gc = dataclasses.replace(gc, x_axis=(gc.x_axis[0], xs),
+                             upper=lambda v: zip_pair(*v)[:-1])
+    plain = dataclasses.replace(gc, order_a=dataclasses.replace(
+        gc.order_a, leq=lambda a, b: gc.order_a.leq(a, b)))
+    rep = check_gc_instance(gc)
+    assert rep.verdict == "fail" and rep == check_gc_instance(plain)
 
 
 def test_left_side_runs_on_easy_candidates_only(monkeypatch):

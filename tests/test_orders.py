@@ -2,7 +2,8 @@
 law checker's behavior on healthy and broken relations."""
 
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
+from operator import le
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from galoischeck import (
     Universe,
     UniverseTooLargeError,
     check_order_laws,
+    componentwise,
     enum_seqs,
     is_prefix,
     is_sublist,
@@ -186,6 +188,19 @@ def test_composite_prefix_orders_delegate_componentwise():
     assert not seq_pair_prefix(((1,), ()), ((0, 1), (1,)))
     assert seq_list_prefix(((0,),), ((0,), (1, 1)))
     assert not seq_list_prefix(((1, 1),), ((0,), (1, 1)))
+
+
+def test_componentwise_orders_carry_their_factors():
+    assert product_order.factors == (le, is_prefix)
+    assert seq_pair_prefix.factors == (is_prefix, is_prefix)
+    assert [f.__name__ for f in (product_order, seq_pair_prefix)] == [
+        "product_order", "seq_pair_prefix"]
+    # the whole relation is the AND of its factors, one per position
+    seqs = materialize_carrier(CarrierKind.SEQ, Universe(2, 2))
+    leq = componentwise(is_sublist, is_suffix, name="sublist*suffix")
+    assert leq.__name__ == "sublist*suffix"
+    for a, b in product(product(seqs, repeat=2), repeat=2):
+        assert leq(a, b) == (is_sublist(a[0], b[0]) and is_suffix(a[1], b[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ survive as an equivalent mutant.
 import dataclasses
 import itertools
 import random
+from operator import le
 
 import pytest
 
@@ -35,6 +36,7 @@ from galoischeck import (
     take_while,
     zip_pair,
 )
+from galoischeck.orders import componentwise
 
 NAMES = ("dropWhile", "filter", "take", "takeWhile", "zip")
 REAL = {"dropWhile": drop_while, "filter": filter_p, "take": take_n,
@@ -334,4 +336,57 @@ def test_mutant_orders_match_reference(name, u, side, mutant):
     ref = reference(gc_cases(name, k, L, REAL[name], **{
         "leq_a" if side == "order_a" else "leq_b": leq}))
     assert engine == ref
+    assert engine[0] == "fail"
+
+
+# --- componentwise mutant orders on take's and zip's left side ---------------
+#
+# The mutants above reach take's and zip's ``order_a`` as plain lambdas, which
+# the engine calls once per case.  Here each is built again from its two
+# factors (count or xs, then the sequence or ys), once through
+# ``componentwise``, whose factors the engine evaluates one component at a
+# time, and once as a plain lambda (for the mutants above, that build is
+# the test above).  Two more mutants break one factor alone.
+# The componentwise build reaches the engine as ``factors_only``, which
+# fails if called on a whole case, so an engine that ignored the factors
+# fails every componentwise case.
+
+FACTOR_MUTANTS = {
+    **{("take", m): (le, mut) for m, mut in MUTANT_PREFIXES.items()},
+    **{("zip", m): (mut, mut) for m, mut in MUTANT_PREFIXES.items()},
+    ("take", "always-true-count"): (MUTANT_PREFIXES["always-true"], prefix),
+    ("zip", "strict-prefix-ys"): (prefix, MUTANT_PREFIXES["strict-prefix"]),
+}
+
+
+def factors_only(leq):
+    """``leq``'s factors on a relation that fails when called whole."""
+    def whole(a, b):
+        pytest.fail("a componentwise order was called on a whole case")
+    whole.factors = leq.factors
+    return whole
+
+
+FACTOR_CASES = [
+    (name, u, mutant, build)
+    for (name, mutant) in sorted(FACTOR_MUTANTS)
+    for u in MUTANT_UNIVERSES[name]
+    for build in ("componentwise", "plain")
+    if build == "componentwise" or mutant not in MUTANT_PREFIXES]
+
+
+@pytest.mark.parametrize("name,u,mutant,build", FACTOR_CASES)
+def test_factor_mutant_orders_match_reference(name, u, mutant, build):
+    k, L = u
+    first, second = FACTOR_MUTANTS[name, mutant]
+    if build == "componentwise":
+        leq = componentwise(first, second, name=mutant)
+        engine_leq = factors_only(leq)
+    else:
+        leq = engine_leq = (lambda a, b: first(a[0], b[0])
+                            and second(a[1], b[1]))
+    [(_, gc)] = build_gcs(name, Universe(k, L))
+    order = dataclasses.replace(gc.order_a, leq=engine_leq)
+    engine = outcome(check_gc_instance(dataclasses.replace(gc, order_a=order)))
+    assert engine == reference(gc_cases(name, k, L, REAL[name], leq_a=leq))
     assert engine[0] == "fail"
