@@ -22,7 +22,7 @@ from .connections import (
     LAW_NAMES,
     PAIR_NAMES,
     SPEC_NAMES,
-    SPECS,
+    TARGETS,
     WitnessNotFoundError,
     check_canonical_gc,
     check_easy_hard,
@@ -167,7 +167,7 @@ def _parse_pred(text: str | None, u: Universe) -> Pred | None:
 def _target_pred(args, u: Universe) -> Pred | None:
     """Parse --pred, and refuse --pred or --n where the target's parameter
     axis is not a predicate or a count."""
-    param = SPECS[args.target].param if args.target in SPECS else None
+    param = TARGETS[args.target].param
     pred = _parse_pred(args.pred, u)
     if pred is not None and param != "p":
         raise SystemExit(_usage(f"--pred does not apply to {args.target}"))
@@ -216,7 +216,7 @@ def _list_targets(fmt: str) -> int:
 
 def _run_oracle(args, u: Universe) -> int:
     pred = _target_pred(args, u)
-    param = SPECS[args.target].param
+    param = TARGETS[args.target].param
     seqs = [_parse_seq(text, u) for text in args.input]
     # zip, the one combinator without a parameter, takes two sequences
     want = 1 if param else 2

@@ -19,10 +19,10 @@ row per factor and distinct component of x, which assumes that each factor
 sees its side of x only through ``==``; unhashable components are not
 memoized either.
 
-Each target is described once, in ``SPECS`` (a combinator's split
-specification) and ``ADJOINTS`` (an adjoint presentation whose lower map is
-not the identity); the spec, gc, oracle and law checks all read these
-tables.
+Each target is described once, by its ``TARGETS`` row: y solves input x
+when ``easy(y)`` holds and ``lower(y) <= x``, and the greatest solution is
+``upper(x)``.  The spec, gc, oracle and law checks and the CLI all read
+that one row.
 
 Each law lists its parts (bindings, axes, per-case condition, evaluations
 per case); one driver budgets them all before the first one runs, scans
@@ -83,72 +83,60 @@ from .orders import is_prefix, is_sublist, is_suffix  # noqa: F401
 Axis = tuple[tuple[str, ...], list]
 
 
-@dataclass(frozen=True)
-class Spec:
-    """A combinator's split specification: its output is the greatest
-    candidate under ``order`` that lies below the input and meets the easy
-    condition, which ``says`` describes: ``easy(param, y)``, or with ``easy``
-    None (take and zip) its ``ADJOINTS`` row's ``lower(y) <= x``.
+def _identity(y):
+    return y
 
-    ``param`` is the parameter axis: "p" (a predicate), "n" (a count) or
-    None.  ``hard`` is the combinator; ``names`` are the witness names of
-    the input and the candidate when the lower map is the identity.  The
-    spec's candidate ranges over the whole carrier, or over the easy set
-    alone with ``feasible_only`` (when that set is not downward closed).
-    """
+
+@dataclass(frozen=True)
+class Target:
+    """One target: y solves input x when ``easy(param, y)`` holds (None:
+    always) and ``lower(y) <= x`` under ``order_a`` (None: ``order``), and
+    ``upper(x)`` is the greatest solution under ``order``; ``says``
+    describes the condition.  A combinator has a parameter axis ``param``
+    ("p" a predicate, "n" a count, or None) and its ``hard`` function, which
+    applied to the predicate or to the unpacked x is the upper map.  Its
+    spec ranges the candidate over the whole carrier, or over the easy set
+    alone with ``feasible_only`` (when that set is not downward closed).  A
+    splitter/joiner pair has no ``hard``: ``lower`` joins, ``upper`` splits.
+    ``x_names`` and ``y_names`` name the witnesses."""
 
     name: str
     param: str | None
     order: OrderDef
-    easy: Callable | None
-    hard: Callable
+    hard: Callable | None
     says: str
-    names: tuple[str, str] = ("xs", "ys")
-    feasible_only: bool = False
-
-
-@dataclass(frozen=True)
-class Adjoint:
-    """An adjoint presentation ``lower(y) <= x  <=>  y <= upper(x)`` whose
-    lower map is not the identity; x and y range over the carriers of
-    ``order_a`` and ``order_b``.  A combinator's row has no upper map: its
-    hard function, applied to the unpacked x, is the upper map."""
-
-    name: str
-    lower: Callable
-    upper: Callable | None
-    order_a: OrderDef
-    order_b: OrderDef
     x_names: tuple[str, ...]
     y_names: tuple[str, ...]
+    easy: Callable | None = None
+    feasible_only: bool = False
+    lower: Callable = _identity
+    upper: Callable | None = None
+    order_a: OrderDef | None = None
 
 
-SPECS = {s.name: s for s in (
-    Spec("dropWhile", "p", SUFFIX, head_fails, drop_while,
-         "empty or head falsifies {}", ("l", "z"), feasible_only=True),
-    Spec("filter", "p", SUBLIST, all_satisfy, filter_p,
-         "all elements satisfy {}"),
-    Spec("take", "n", PREFIX, None, take_n, "length at most {}"),
-    Spec("takeWhile", "p", PREFIX, all_satisfy, take_while,
-         "all elements satisfy {}"),
-    Spec("zip", None, PAIR_PREFIX, None, zip_pair,
-         "both projections are prefixes of the inputs"),
+TARGETS = {t.name: t for t in (
+    Target("dropWhile", "p", SUFFIX, drop_while, "empty or head falsifies {}",
+           ("l",), ("z",), head_fails, feasible_only=True),
+    Target("filter", "p", SUBLIST, filter_p, "all elements satisfy {}",
+           ("xs",), ("ys",), all_satisfy),
+    Target("lines-unlines", None, SEQ_LIST_PREFIX, None,
+           "joins to a prefix of the input", ("xs",), ("ws",),
+           lower=unlines_join, upper=lines_split, order_a=PREFIX),
+    Target("take", "n", PREFIX, take_n, "length at most {}", ("n", "xs"),
+           ("ys",), lower=lambda ys: (len(ys), ys), order_a=PRODUCT),
+    Target("takeWhile", "p", PREFIX, take_while, "all elements satisfy {}",
+           ("xs",), ("ys",), all_satisfy),
+    Target("words-unwords", None, SEQ_LIST_PREFIX, None,
+           "joins to a prefix of the input", ("xs",), ("ws",),
+           lower=unwords_join, upper=words_split, order_a=PREFIX),
+    Target("zip", None, PAIR_PREFIX, zip_pair,
+           "both projections are prefixes of the inputs", ("xs", "ys"),
+           ("zs",), lower=unzip_pair, order_a=SEQ_PAIR_PREFIX),
 )}
 
-ADJOINTS = {a.name: a for a in (
-    Adjoint("lines-unlines", unlines_join, lines_split, PREFIX,
-            SEQ_LIST_PREFIX, ("xs",), ("ws",)),
-    Adjoint("take", lambda ys: (len(ys), ys), None, PRODUCT, PREFIX,
-            ("n", "xs"), ("ys",)),
-    Adjoint("words-unwords", unwords_join, words_split, PREFIX,
-            SEQ_LIST_PREFIX, ("xs",), ("ws",)),
-    Adjoint("zip", unzip_pair, None, SEQ_PAIR_PREFIX, PAIR_PREFIX,
-            ("xs", "ys"), ("zs",)),
-)}
-
-SPEC_NAMES = tuple(sorted(SPECS))
-PAIR_NAMES = tuple(sorted(set(ADJOINTS) - set(SPECS)))
-GC_TARGETS = tuple(sorted(set(SPECS) | set(ADJOINTS)))
+SPEC_NAMES = tuple(sorted(n for n, t in TARGETS.items() if t.hard))
+PAIR_NAMES = tuple(sorted(n for n, t in TARGETS.items() if not t.hard))
+GC_TARGETS = tuple(sorted(TARGETS))
 
 
 class WitnessNotFoundError(Exception):
@@ -242,21 +230,23 @@ def _run_parts(law: str, parts: list[_Part], budget: int) -> CheckReport:
                                 else rep) for p, rep in runs))
 
 
-def refuse_inapplicable(name: str, pred: Pred | None = None,
+def refuse_inapplicable(name: str, u: Universe, pred: Pred | None = None,
                         n: int | None = None, ys: tuple | None = None) -> None:
     """Refuse an input that does not apply to target ``name``: ``pred``
-    unless its parameter axis is a predicate, ``n`` unless it is a count, a
-    negative count, and ``ys`` unless it is zip, the one combinator without
-    a parameter."""
-    s = SPECS.get(name)
-    param = s and s.param
-    if pred is not None and param != "p":
+    unless its parameter axis is a predicate, ``pred`` over another
+    alphabet than ``u``'s, ``n`` unless the axis is a count, a negative
+    count, and ``ys`` unless the target has no parameter (zip)."""
+    t = TARGETS[name]
+    if pred is not None and t.param != "p":
         raise ValueError(f"a predicate does not apply to {name!r}")
-    if n is not None and param != "n":
+    if pred is not None and pred.alphabet_size != u.alphabet_size:
+        raise ValueError(f"predicate over alphabet {pred.alphabet_size} does "
+                         f"not match universe alphabet {u.alphabet_size}")
+    if n is not None and t.param != "n":
         raise ValueError(f"a count does not apply to {name!r}")
     if n is not None and n < 0:
         raise ValueError("take count must be non-negative")
-    if ys is not None and (s is None or param is not None):
+    if ys is not None and t.param is not None:
         raise ValueError(f"a second sequence does not apply to {name!r}")
 
 
@@ -284,41 +274,38 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
            spec: bool = False) -> list[tuple[tuple, CanonicalGC, list | None]]:
     """The instances a gc check of ``name`` runs, in order, as (bindings,
     instance, feasible), with ``hard`` (by default the combinator) as the
-    upper map.  A target without an ``ADJOINTS`` row has the identity as
-    lower map and one instance per predicate, whose candidate ranges over
-    the easy set.  For a ``spec`` that ranges it over the whole carrier,
-    ``feasible`` flags each candidate in the easy set, which the left side
-    then also requires.
+    upper map.  A row with an easy condition has one instance per
+    predicate, whose candidate ranges over the easy set; for a ``spec`` it
+    ranges over the whole carrier, and ``feasible`` flags each candidate in
+    the easy set, which the left side then also requires.  x ranges over
+    ``order_a``'s carrier, or over (n, xs) for a given count n.
     """
     _known("adjoint pair target", name, GC_TARGETS)
-    s, adj = SPECS.get(name), ADJOINTS.get(name)
-    refuse_inapplicable(name, pred, n)
+    t = TARGETS[name]
+    refuse_inapplicable(name, u, pred, n)
     seqs = materialize_carrier(CarrierKind.SEQ, u)
-    hard = hard or (s and s.hard)
-    if adj is None:
-        whole = spec and not s.feasible_only
-        parts = []
-        for p in ([pred] if pred is not None else enum_preds(u)):
-            flags = [s.easy(p, y) for y in seqs]
-            gc = CanonicalGC(name, lambda y: y, partial(hard, p), s.order,
-                             s.order, ((s.names[0],), seqs), ((s.names[1],),
-                             seqs if whole else list(compress(seqs, flags))))
-            parts.append(((("p", p),), gc, flags if whole else None))
-        return parts
 
     def carrier(o: OrderDef) -> list:
         if o.carrier is CarrierKind.SEQ:
             return seqs
         return materialize_carrier(o.carrier, u)
 
-    if n is not None:
-        xs = [(n, x) for x in seqs]
+    hard, order_a = hard or t.hard, t.order_a or t.order
+    xs = carrier(order_a) if n is None else [(n, x) for x in seqs]
+    ys = carrier(t.order)
+    if t.easy is None:
+        instances = [((), t.upper or (lambda v: hard(*v)), None)]
     else:
-        xs = carrier(adj.order_a)
-    gc = CanonicalGC(name, adj.lower, adj.upper or (lambda v: hard(*v)),
-                     adj.order_a, adj.order_b, (adj.x_names, xs),
-                     (adj.y_names, carrier(adj.order_b)))
-    return [((), gc, None)]
+        instances = [((("p", p),), partial(hard, p), [t.easy(p, y) for y in ys])
+                     for p in ([pred] if pred is not None else enum_preds(u))]
+    whole = spec and not t.feasible_only
+    parts = []
+    for b, upper, flags in instances:
+        easy_ys = ys if whole or flags is None else list(compress(ys, flags))
+        gc = CanonicalGC(name, t.lower, upper, order_a, t.order,
+                         (t.x_names, xs), (t.y_names, easy_ys))
+        parts.append((b, gc, flags if whole else None))
+    return parts
 
 
 def build_gcs(name: str, u: Universe,
@@ -459,7 +446,7 @@ def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
     a passing element), but they are downward closed inside that restricted
     carrier, which is also the carrier the adjoint presentation uses.
     """
-    _known("combinator", name, SPECS)
+    _known("combinator", name, SPEC_NAMES)
     return _run_parts(f"spec:{name}", [_equivalence(*i) for i in _parts(
         name, u, pred, n, hard_fn, spec=True)], budget)
 
@@ -540,15 +527,15 @@ def check_injective_adjoint(name: str, u: Universe, *,
 
 
 # ---------------------------------------------------------------------------
-# Equational consequences on the combinators themselves, read from SPECS.
+# Equational consequences on the combinators themselves, read from TARGETS.
 
 
 def _idempotent_parts(name: str, u: Universe) -> list:
-    _known("combinator", name, SPECS)
-    spec = SPECS[name]
-    if spec.param != "p":
+    _known("combinator", name, SPEC_NAMES)
+    t = TARGETS[name]
+    if t.param != "p":
         raise ValueError(f"idempotency does not apply to {name!r}")
-    fn = spec.hard
+    fn = t.hard
     seqs = materialize_carrier(CarrierKind.SEQ, u)
 
     def violates(p, xs):
@@ -568,7 +555,7 @@ def check_idempotent(name: str, u: Universe, *,
 
 def _fusion_parts(u: Universe) -> list:
     def violates(name, p, q, xs):
-        fn = SPECS[name].hard
+        fn = TARGETS[name].hard
         return fn(p, fn(q, xs)) != fn(pred_and(p, q), xs)
     preds = list(enum_preds(u))
     seqs = materialize_carrier(CarrierKind.SEQ, u)
@@ -578,7 +565,7 @@ def _fusion_parts(u: Universe) -> list:
 
 
 def _split_append_parts(u: Universe) -> list:
-    take, drop = SPECS["takeWhile"].hard, SPECS["dropWhile"].hard
+    take, drop = TARGETS["takeWhile"].hard, TARGETS["dropWhile"].hard
     seqs = materialize_carrier(CarrierKind.SEQ, u)
 
     def violates(p, xs):
@@ -620,7 +607,7 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
     identity is forced whenever one exists.  Refuses upfront when the
     carrier holds more than ``budget`` word lists."""
     _known("splitter/joiner pair", name, PAIR_NAMES)
-    join, split = ADJOINTS[name].lower, ADJOINTS[name].upper
+    join, split = TARGETS[name].lower, TARGETS[name].upper
     law = f"non-gc:{name}"
     _within_budget(law, count_seq_lists(u), budget)
     lists = materialize_carrier(CarrierKind.SEQ_LIST, u)
@@ -672,7 +659,7 @@ _LAWS = {
     "semi-inverse": _across("connection", SPEC_NAMES, _semi_inverse_parts),
     "injective-adjoint": _across("connection", SPEC_NAMES, _injective_parts),
     "idempotent": _across("combinator", [
-        s for s in SPEC_NAMES if SPECS[s].param == "p"], _idempotent_parts),
+        s for s in SPEC_NAMES if TARGETS[s].param == "p"], _idempotent_parts),
     "fusion": _fusion_parts,
     "split-append": _split_append_parts,
     "indirect-equality": _across("order", ("prefix", "sublist"),

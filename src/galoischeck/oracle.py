@@ -1,6 +1,7 @@
 """Generic construction of a combinator's output from its easy/hard split
-specification: the result must be the greatest candidate, under the hard
-ordering, among those satisfying the easy condition.
+specification: the result must be the greatest candidate y, under the hard
+ordering, that meets the one condition ``lower(y) <= x and easy(y)`` of the
+combinator's ``TARGETS`` row.
 
 This module never calls the combinator under test.  It enumerates candidates
 below the input, filters by the easy condition, and picks the maximum by
@@ -10,7 +11,6 @@ implementations.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Sequence
 
 from .core import (
@@ -26,7 +26,7 @@ from .core import (
 )
 # Unused here; perfbench/tracing.py wraps this module global by name.
 from .combinators import head_fails  # noqa: F401
-from .connections import ADJOINTS, SPECS, refuse_inapplicable
+from .connections import SPEC_NAMES, TARGETS, refuse_inapplicable
 from .orders import OrderDef
 
 
@@ -95,33 +95,29 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
     walks the order's whole carrier, so it refuses upfront when that
     carrier holds more than ``budget`` elements.
     """
-    _known("combinator", name, SPECS)
-    spec = SPECS[name]
+    _known("combinator", name, SPEC_NAMES)
+    t = TARGETS[name]
     # The second input is the parameter, or for zip the second sequence.
     arg_name, arg = {"p": ("pred", pred), "n": ("n", n)}.get(
-        spec.param, ("ys", ys))
+        t.param, ("ys", ys))
     if xs is None or arg is None:
         raise ValueError(f"{name} oracle needs xs and {arg_name}")
-    refuse_inapplicable(name, pred, n, ys)
+    refuse_inapplicable(name, u, pred, n, ys)
     for label, seq in (("xs", xs), ("ys", ys)):
         if seq is not None and (len(seq) > u.max_len or not all(
                 0 <= e < u.alphabet_size for e in seq)):
             raise ValueError(f"{label}={seq!r} is outside the universe "
                              f"alphabet={u.alphabet_size} max_len={u.max_len}")
     x = xs if ys is None else (xs, ys)
-    says = spec.says.format(arg.bits() if spec.param == "p" else arg)
-    if spec.easy is None:
-        # take's and zip's condition is their ADJOINTS row's lower(y) <= x_a,
-        # where x_a is (n, xs) for take and (xs, ys) for zip
-        leq, lower = ADJOINTS[name].order_a.leq, ADJOINTS[name].lower
-        x_a = x if n is None else (n, xs)
+    # x as order_a sees it: (n, xs) for take
+    x_a = x if n is None else (n, xs)
+    says = t.says.format(arg.bits() if t.param == "p" else arg)
+    easy, lower, leq = t.easy, t.lower, (t.order_a or t.order).leq
 
-        def easy(y):
-            return leq(lower(y), x_a)
-    else:
-        easy = partial(spec.easy, arg)
+    def solves(y):
+        return leq(lower(y), x_a) and (easy is None or easy(arg, y))
 
-    _within_budget(f"oracle:{name}", carrier_size_upper(spec.order.carrier, u),
+    _within_budget(f"oracle:{name}", carrier_size_upper(t.order.carrier, u),
                    budget)
     candidates = None if ys is None else _zip_candidates(xs, ys, u)
-    return best_under(spec.order, easy, says, x, u, candidates=candidates)
+    return best_under(t.order, solves, says, x, u, candidates=candidates)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from galoischeck.cli import build_parser, main
-from galoischeck.connections import SPECS
+from galoischeck.connections import TARGETS
 
 # every check payload carries exactly these keys, in this order
 REPORT_KEYS = ["command", "target", "universe", "cases_checked", "verdict",
@@ -100,8 +100,8 @@ ORACLE_FAILURE = ("oracle", "--target", "filter", "--pred", "0b11",
 
 
 def test_oracle_reports_incomparable_maxima(capsys, monkeypatch):
-    monkeypatch.setitem(SPECS, "filter", replace(
-        SPECS["filter"], easy=lambda p, y: len(y) <= 1))
+    monkeypatch.setitem(TARGETS, "filter", replace(
+        TARGETS["filter"], easy=lambda p, y: len(y) <= 1))
     error = ("no greatest candidate below (0, 1) for: all elements satisfy "
              "0b11; 2 maximal candidates")
     code, out, err = run_cli(capsys, *ORACLE_FAILURE)
@@ -115,8 +115,8 @@ def test_oracle_reports_incomparable_maxima(capsys, monkeypatch):
 
 
 def test_oracle_reports_an_empty_feasible_set(capsys, monkeypatch):
-    monkeypatch.setitem(SPECS, "filter", replace(
-        SPECS["filter"], easy=lambda p, y: False))
+    monkeypatch.setitem(TARGETS, "filter", replace(
+        TARGETS["filter"], easy=lambda p, y: False))
     error = "no candidate below (0, 1) satisfies: all elements satisfy 0b11"
     code, out, err = run_cli(capsys, *ORACLE_FAILURE)
     assert (code, err) == (1, "")

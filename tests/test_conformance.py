@@ -3,7 +3,7 @@ specification checked with the standard library's counterpart as its
 implementation, and the splitter/joiner pairs with ``str.split`` and
 ``str.splitlines`` as the splitter.
 
-A splitter is swapped in through ``dataclasses.replace`` on its ``ADJOINTS``
+A splitter is swapped in through ``dataclasses.replace`` on its ``TARGETS``
 row.  It sees a sequence as a string: element 0, the separator, becomes a
 newline and every other element a letter.
 """
@@ -82,8 +82,8 @@ SPLITTERS = {
 @pytest.mark.parametrize("label", SPLITTERS)
 def test_stdlib_splitter_against_its_joiner(monkeypatch, label):
     pair, split, gc_fail, round_trip_fail = SPLITTERS[label]
-    monkeypatch.setitem(connections.ADJOINTS, pair, dataclasses.replace(
-        connections.ADJOINTS[pair], upper=_splitter(split)))
+    monkeypatch.setitem(connections.TARGETS, pair, dataclasses.replace(
+        connections.TARGETS[pair], upper=_splitter(split)))
     rep = check_canonical_gc(pair, U26)
     assert (rep.verdict, rep.cases_checked, rep.counterexample) == (
         "fail", *gc_fail)

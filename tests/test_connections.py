@@ -17,6 +17,7 @@ from galoischeck import (
     Universe,
     UniverseTooLargeError,
     WitnessNotFoundError,
+    all_satisfy,
     build_gcs,
     check_cancellation,
     check_canonical_gc,
@@ -39,7 +40,8 @@ from galoischeck import (
     unwords_join,
     zip_pair,
 )
-from galoischeck.connections import SPECS
+from galoischeck import cli, connections, oracle
+from galoischeck.connections import TARGETS
 from galoischeck.core import CarrierKind, materialize_carrier
 from galoischeck.orders import PREFIX, componentwise, is_prefix
 
@@ -299,8 +301,8 @@ def test_unhashable_components_keep_the_report():
 
 def test_left_side_runs_on_easy_candidates_only(monkeypatch):
     calls = {"sublist": 0}
-    spec = SPECS["filter"]
-    monkeypatch.setitem(SPECS, "filter", dataclasses.replace(
+    spec = TARGETS["filter"]
+    monkeypatch.setitem(TARGETS, "filter", dataclasses.replace(
         spec, order=_counting(spec.order, calls, "sublist")))
     rep = check_easy_hard("filter", U23)
     assert rep.ok and rep.cases_checked == 900
@@ -318,6 +320,53 @@ def test_left_side_runs_on_easy_candidates_only(monkeypatch):
 def test_parameters_that_do_not_apply_are_refused(check, name, kw):
     with pytest.raises(ValueError, match="does not apply to"):
         check(name, Universe(2, 2), **kw)
+
+
+def _no_carrier(*args):
+    raise AssertionError("a carrier was built before the refusal")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_easy_hard("filter", Universe(3, 2), pred=Pred(1, 2)),
+    lambda: check_easy_hard("filter", Universe(2, 3), pred=Pred(1, 3)),
+    lambda: check_canonical_gc("takeWhile", Universe(2, 3), pred=Pred(1, 3)),
+    lambda: build_gcs("dropWhile", Universe(3, 2), Pred(1, 2)),
+    lambda: oracle_spec("filter", Universe(2, 3), xs=(0, 1), pred=Pred(1, 3)),
+], ids=["spec-narrower", "spec-wider", "gc", "build-gcs", "oracle"])
+def test_a_predicate_over_another_alphabet_is_refused_upfront(monkeypatch,
+                                                              call):
+    monkeypatch.setattr(connections, "materialize_carrier", _no_carrier)
+    monkeypatch.setattr(oracle, "enumerate_carrier", _no_carrier)
+    with pytest.raises(ValueError, match="predicate over alphabet . does not "
+                       "match universe alphabet ."):
+        call()
+
+
+def test_one_row_reaches_every_reader(monkeypatch, capsys):
+    all_true = Pred(0b11, 2)
+    assert check_canonical_gc("takeWhile", U23).cases_checked == 360
+    assert oracle_spec("takeWhile", U23, xs=(0, 0, 1), pred=all_true) == (
+        0, 0, 1)
+    # takeWhile's easy set cut to length at most 1, in its one row
+    monkeypatch.setitem(TARGETS, "takeWhile", dataclasses.replace(
+        TARGETS["takeWhile"], easy=lambda p, y: len(y) <= 1
+        and all_satisfy(p, y)))
+    rep = check_easy_hard("takeWhile", U23)
+    assert (rep.verdict, rep.cases_checked, rep.counterexample) == (
+        "fail", 274, (("p", Pred(0b01, 2)), ("xs", (0, 0)), ("ys", (0, 0))))
+    # the y axis is the easy set: 8 candidates over the 4 predicates
+    gc = check_canonical_gc("takeWhile", U23)
+    assert (gc.verdict, gc.cases_checked) == ("pass", 120)
+    assert oracle_spec("takeWhile", U23, xs=(0, 0, 1), pred=all_true) == (0,)
+    assert cli.main(["check-spec", "--target", "takeWhile",
+                     "--max-len", "3"]) == 1
+    assert "verdict: fail" in capsys.readouterr().out
+
+
+def test_target_names_split_into_specs_and_pairs():
+    assert not set(SPEC_NAMES) & set(PAIR_NAMES)
+    assert sorted(SPEC_NAMES + PAIR_NAMES) == list(GC_TARGETS)
+    assert set(GC_TARGETS) == set(TARGETS)
 
 
 # --- adjunction candidates -------------------------------------------------

@@ -8,9 +8,9 @@ quantifies over.  It returns the verdict, the number of cases up to and
 including the first violation (all of them on a pass) and that violation's
 bindings, which ``check_law`` must reproduce exactly.
 
-Mutants are injected only by swapping a ``SPECS``, ``ADJOINTS`` or
-``ORDERS`` row for a ``dataclasses.replace`` of it, so every law sees them
-through the registry it reads.  Each mutant names the laws it breaks; every
+Mutants are injected only by swapping a ``TARGETS`` or ``ORDERS`` row for a
+``dataclasses.replace`` of it, so every law sees them through the registry
+it reads.  Each mutant names the laws it breaks; every
 one of those laws must reject it, and every law must agree with the
 reference on it, whether it rejects it or not.
 """
@@ -239,22 +239,22 @@ def _flipped_take_while(p, xs):
 # name -> (registry, row, field, value, laws that must reject it)
 MUTANTS = {
     "filter-not-idempotent": (
-        "SPECS", "filter", "hard", lambda p, xs: filter_p(p, xs)[:-1],
+        "TARGETS", "filter", "hard", lambda p, xs: filter_p(p, xs)[:-1],
         {"idempotent", "fusion", "cancellation-right", "semi-inverse",
          "injective-adjoint"}),
     "takeWhile-breaks-fusion": (
-        "SPECS", "takeWhile", "hard", _flipped_take_while,
+        "TARGETS", "takeWhile", "hard", _flipped_take_while,
         {"fusion", "split-append", "cancellation-right", "semi-inverse",
          "injective-adjoint"}),
     "dropWhile-breaks-split-append": (
-        "SPECS", "dropWhile", "hard", lambda p, l: drop_while(p, l)[1:],
+        "TARGETS", "dropWhile", "hard", lambda p, l: drop_while(p, l)[1:],
         {"split-append", "idempotent", "cancellation-right",
          "semi-inverse", "injective-adjoint"}),
     "take-lower-not-injective": (
-        "ADJOINTS", "take", "lower", lambda ys: (len(ys), ()),
+        "TARGETS", "take", "lower", lambda ys: (len(ys), ()),
         {"injective-adjoint", "cancellation-right", "semi-inverse"}),
     "take-off-by-one": (
-        "SPECS", "take", "hard", lambda n, xs: xs[:n + 1],
+        "TARGETS", "take", "hard", lambda n, xs: xs[:n + 1],
         {"cancellation-left"}),
     "prefix-spurious-pair": (
         "ORDERS", "prefix", "leq",
@@ -267,14 +267,14 @@ def inject(monkeypatch, mutant):
     """Swap the mutant's row into the registry; returns the reference's
     world with the same wrong function in it."""
     table, row, field, value, _ = MUTANTS[mutant]
-    registry = {"SPECS": connections.SPECS, "ADJOINTS": connections.ADJOINTS,
+    registry = {"TARGETS": connections.TARGETS,
                 "ORDERS": orders.ORDERS}[table]
     monkeypatch.setitem(registry, row,
                         dataclasses.replace(registry[row], **{field: value}))
     w = World(dict(REAL))
-    if table == "SPECS":
+    if field == "hard":
         w.hard[row] = value
-    elif table == "ADJOINTS":
+    elif field == "lower":
         w.take_lower = value
     else:
         w.orders[row] = value

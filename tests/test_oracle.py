@@ -26,7 +26,7 @@ from galoischeck import (
     take_while,
     zip_pair,
 )
-from galoischeck.connections import ADJOINTS
+from galoischeck.connections import TARGETS
 from galoischeck.orders import PREFIX, SUBLIST
 
 U6 = Universe(6, 3)
@@ -134,12 +134,12 @@ def test_oracle_refuses_a_negative_count_before_its_budget():
 
 
 def test_oracle_and_spec_check_read_the_same_take_row(monkeypatch):
-    # take's easy condition lives in its ADJOINTS row alone: an off-by-one
+    # take's easy condition lives in its TARGETS row alone: an off-by-one
     # lower map there fails the spec check and changes the oracle's answer
     u = Universe(2, 3)
     assert oracle_spec("take", u, xs=(0, 1, 0), n=2) == (0, 1)
-    monkeypatch.setitem(ADJOINTS, "take", dataclasses.replace(
-        ADJOINTS["take"], lower=lambda ys: (len(ys) + 1, ys)))
+    monkeypatch.setitem(TARGETS, "take", dataclasses.replace(
+        TARGETS["take"], lower=lambda ys: (len(ys) + 1, ys)))
     assert check_easy_hard("take", u).verdict == "fail"
     assert oracle_spec("take", u, xs=(0, 1, 0), n=2) == (0,)
 
