@@ -91,23 +91,24 @@ def _identity(y):
 class Target:
     """One target: y solves input x when ``easy(param, y)`` holds (None:
     always) and ``lower(y) <= x`` under ``order_a`` (None: ``order``), and
-    ``upper(x)`` is the greatest solution under ``order``; ``says``
-    describes the condition.  A combinator has a parameter axis ``param``
-    ("p" a predicate, "n" a count, or None) and its ``hard`` function, which
-    applied to the predicate or to the unpacked x is the upper map.  Its
-    spec ranges the candidate over the whole carrier, or over the easy set
-    alone with ``feasible_only`` (when that set is not downward closed).  A
-    splitter/joiner pair has no ``hard``: ``lower`` joins, ``upper`` splits.
-    ``x_names`` and ``y_names`` name the witnesses."""
+    ``upper(x)`` is the greatest solution under ``order``.  A combinator has
+    a parameter axis ``param`` ("p" a predicate, "n" a count, or None), its
+    ``hard`` function, which applied to the predicate or to the unpacked x
+    is the upper map, and ``says``, the condition as the oracle's errors
+    describe it.  Its spec ranges the candidate over the whole carrier, or
+    over the easy set alone with ``feasible_only`` (when that set is not
+    downward closed).  A splitter/joiner pair has no ``hard``: ``lower``
+    joins, ``upper`` splits.  ``x_names`` and ``y_names`` name the
+    witnesses."""
 
     name: str
     param: str | None
     order: OrderDef
     hard: Callable | None
-    says: str
     x_names: tuple[str, ...]
     y_names: tuple[str, ...]
     easy: Callable | None = None
+    says: str = ""
     feasible_only: bool = False
     lower: Callable = _identity
     upper: Callable | None = None
@@ -115,23 +116,22 @@ class Target:
 
 
 TARGETS = {t.name: t for t in (
-    Target("dropWhile", "p", SUFFIX, drop_while, "empty or head falsifies {}",
-           ("l",), ("z",), head_fails, feasible_only=True),
-    Target("filter", "p", SUBLIST, filter_p, "all elements satisfy {}",
-           ("xs",), ("ys",), all_satisfy),
-    Target("lines-unlines", None, SEQ_LIST_PREFIX, None,
-           "joins to a prefix of the input", ("xs",), ("ws",),
+    Target("dropWhile", "p", SUFFIX, drop_while, ("l",), ("z",), head_fails,
+           "empty or head falsifies {}", feasible_only=True),
+    Target("filter", "p", SUBLIST, filter_p, ("xs",), ("ys",), all_satisfy,
+           "all elements satisfy {}"),
+    Target("lines-unlines", None, SEQ_LIST_PREFIX, None, ("xs",), ("ws",),
            lower=unlines_join, upper=lines_split, order_a=PREFIX),
-    Target("take", "n", PREFIX, take_n, "length at most {}", ("n", "xs"),
-           ("ys",), lower=lambda ys: (len(ys), ys), order_a=PRODUCT),
-    Target("takeWhile", "p", PREFIX, take_while, "all elements satisfy {}",
-           ("xs",), ("ys",), all_satisfy),
-    Target("words-unwords", None, SEQ_LIST_PREFIX, None,
-           "joins to a prefix of the input", ("xs",), ("ws",),
+    Target("take", "n", PREFIX, take_n, ("n", "xs"), ("ys",),
+           says="length at most {}", lower=lambda ys: (len(ys), ys),
+           order_a=PRODUCT),
+    Target("takeWhile", "p", PREFIX, take_while, ("xs",), ("ys",),
+           all_satisfy, "all elements satisfy {}"),
+    Target("words-unwords", None, SEQ_LIST_PREFIX, None, ("xs",), ("ws",),
            lower=unwords_join, upper=words_split, order_a=PREFIX),
-    Target("zip", None, PAIR_PREFIX, zip_pair,
-           "both projections are prefixes of the inputs", ("xs", "ys"),
-           ("zs",), lower=unzip_pair, order_a=SEQ_PAIR_PREFIX),
+    Target("zip", None, PAIR_PREFIX, zip_pair, ("xs", "ys"), ("zs",),
+           says="both projections are prefixes of the inputs",
+           lower=unzip_pair, order_a=SEQ_PAIR_PREFIX),
 )}
 
 SPEC_NAMES = tuple(sorted(n for n, t in TARGETS.items() if t.hard))

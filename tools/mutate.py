@@ -1,7 +1,7 @@
 """Mutation analysis of chosen functions with the standard library's ``ast``.
 
     python tools/mutate.py src/galoischeck/connections.py:_parts \\
-        src/galoischeck/oracle.py:oracle_spec [--workdir DIR] [--list]
+        src/galoischeck/oracle.py:oracle_spec [--workdir DIR]
 
 Each FILE:FUNCTION argument names a top-level function, its file relative
 to the repository root.  Every mutation point inside that function (nested
@@ -15,12 +15,13 @@ functions included) gives one mutant per operator:
 - drop a ``not``.
 
 The working tree (without ``.git`` and caches) is copied once into a fresh
-directory under ``--workdir``.  Each mutant in turn is written into that
-copy, the fixed test subset ``TESTS`` runs against it with ``-x``, and the
-original file is put back.  A mutant is killed when the subset fails or
-runs past ``--timeout`` seconds, and survives when it passes.  One line per
-mutant and the score go to stdout.  ``--list`` prints the mutants without
-running anything.  The subset must pass on the unmutated copy first.
+directory under ``--workdir``, which must lie outside the repository, and
+the copy is removed when the run ends.  Each mutant in turn is written into
+that copy, the fixed test subset ``TESTS`` runs against it with ``-x``, and
+the original file is put back.  A mutant is killed when the subset fails or
+runs past ``TIMEOUT`` seconds, and survives when it passes.  One line per
+mutant and the score go to stdout.  The subset must pass on the unmutated
+copy first.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_connections.py", "tests/test_oracle.py",
          "tests/test_golden_reports.py", "tests/test_law_mutants.py")
+TIMEOUT = 120.0
 
 _NEGATE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
            ast.LtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
@@ -115,12 +117,12 @@ def mutants(path: Path, function: str) -> list[tuple[int, str, str, bytes]]:
     return sorted(out, key=lambda m: (m[0], m[1], m[2]))
 
 
-def _passes(copy: Path, timeout: float) -> bool:
+def _passes(copy: Path) -> bool:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
            "no:cacheprovider", *TESTS]
     try:
-        return subprocess.run(cmd, cwd=copy, env=env, timeout=timeout,
+        return subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL).returncode == 0
     except subprocess.TimeoutExpired:
@@ -130,43 +132,41 @@ def _passes(copy: Path, timeout: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("targets", nargs="+", metavar="FILE:FUNCTION")
-    ap.add_argument("--workdir", help="where the copy goes (default: a new "
-                    "temporary directory)")
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds before a mutant's run counts as killed")
-    ap.add_argument("--list", action="store_true",
-                    help="print the mutants and run nothing")
+    ap.add_argument("--workdir", help="where the copy goes, outside the "
+                    "repository (default: a new temporary directory)")
     args = ap.parse_args(argv)
+    where = Path(args.workdir or tempfile.gettempdir()).resolve()
+    if where.is_relative_to(ROOT):
+        ap.error(f"the copy would go inside the repository, under {where}")
     plan = []
     for target in args.targets:
         file, _, function = target.partition(":")
         plan += [(file, function, m) for m in mutants(ROOT / file, function)]
-    if args.list:
-        for file, function, (line, label, change, _) in plan:
-            print(f"{file}:{line} {function} [{label}] {change}")
-        return 0
 
     base = Path(tempfile.mkdtemp(prefix="mutate-", dir=args.workdir))
-    copy = base / "repo"
-    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
-    if not _passes(copy, args.timeout):
-        print("the test subset fails on the unmutated copy", file=sys.stderr)
-        return 2
-    survivors = 0
-    for file, function, (line, label, change, mutated) in plan:
-        original = (copy / file).read_bytes()
-        (copy / file).write_bytes(mutated)
-        try:
-            killed = not _passes(copy, args.timeout)
-        finally:
-            (copy / file).write_bytes(original)
-        survivors += not killed
-        print(f"{'killed ' if killed else 'SURVIVED'} {file}:{line} "
-              f"{function} [{label}] {change}", flush=True)
-    print(f"score: {len(plan) - survivors}/{len(plan)} killed")
-    shutil.rmtree(base)
-    return 0
+    try:
+        copy = base / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        if not _passes(copy):
+            print("the test subset fails on the unmutated copy",
+                  file=sys.stderr)
+            return 2
+        survivors = 0
+        for file, function, (line, label, change, mutated) in plan:
+            original = (copy / file).read_bytes()
+            (copy / file).write_bytes(mutated)
+            try:
+                killed = not _passes(copy)
+            finally:
+                (copy / file).write_bytes(original)
+            survivors += not killed
+            print(f"{'killed ' if killed else 'SURVIVED'} {file}:{line} "
+                  f"{function} [{label}] {change}", flush=True)
+        print(f"score: {len(plan) - survivors}/{len(plan)} killed")
+        return 0
+    finally:
+        shutil.rmtree(base)
 
 
 if __name__ == "__main__":
