@@ -10,14 +10,16 @@ index in the fixed axis order, and on failure ``cases_checked`` is that
 violation's 1-based position.
 
 A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row.
+A row is one int, candidate i's flag at bit 8·i (so each relation returns a
+bool), and a row's first mismatch is the lowest set bit of left XOR right.
 It keeps one right-hand row per distinct ``upper(x)`` for that check only,
 which assumes that ``order_b.leq`` sees its second argument only through
 ``==``; unhashable images are not memoized.  The left side runs on the
 candidates that meet the easy condition alone.  When ``order_a.leq`` is a
 componentwise order (it carries ``factors``), the check also keeps one left
-row per factor and distinct component of x, which assumes that each factor
-sees its side of x only through ``==``; unhashable components are not
-memoized either.
+row per factor and distinct component of x, ANDed with one ``&``, which
+assumes that each factor sees its side of x only through ``==``;
+unhashable components are not memoized either.
 
 Each target is described once, by its ``TARGETS`` row: y solves input x
 when ``easy(y)`` holds and ``lower(y) <= x``, and the greatest solution is
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import compress, count, product, repeat
 from math import prod
-from operator import and_, ne, not_
+from operator import and_, not_
 from typing import Callable, NamedTuple, Sequence
 
 from .combinators import (
@@ -327,29 +329,30 @@ def _memoized(memo: dict, key, make: Callable):
 
 
 def _row_of(leq: Callable, lows: list) -> Callable:
-    """x's row: ``leq(low, x)`` for every low, as bytes."""
-    return lambda x: bytes(map(leq, lows, repeat(x)))
+    """x's row: ``leq(low, x)`` for every low, as an int with low i's flag
+    at bit 8·i (``leq`` returns a bool)."""
+    return lambda x: int.from_bytes(bytes(map(leq, lows, repeat(x))), "little")
 
 
 def _left_rows(leq: Callable, lows: list) -> Callable:
-    """x's left row over ``lows``: the AND of one memoized row per factor
-    and component of x when ``leq`` carries ``factors``, else one call per
-    low."""
+    """x's left int row over ``lows``: one ``&`` of the memoized rows of
+    each factor and component of x when ``leq`` carries ``factors``, else
+    one call per low."""
     factors = getattr(leq, "factors", None)
     if factors is None:
         return _row_of(leq, lows)
     parts = [_row_of(f, [low[i] for low in lows])
              for i, f in enumerate(factors)]
     memos = [{} for _ in factors]
-    return lambda x: reduce(lambda row, other: bytes(map(and_, row, other)),
-                            map(_memoized, memos, x, parts))
+    return lambda x: reduce(and_, map(_memoized, memos, x, parts))
 
 
 def _equivalence(bindings: tuple, gc: CanonicalGC,
                  feasible: list | None = None) -> _Part:
     """The defining equivalence of ``gc`` over the product of its carriers,
     one x against every y per row, with a false left side wherever a
-    ``feasible`` flag is false.
+    ``feasible`` flag is false.  Rows are ints, feasible candidate i's flag
+    at bit 8·i; a row's first mismatch is the lowest set bit of their XOR.
 
     The right-hand side depends on x only through ``upper(x)``, so each
     check keeps one right-hand row per distinct image, filled the first
@@ -362,7 +365,7 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
 
     When ``order_a.leq`` carries ``factors``, the left side likewise keeps
     one row per factor and distinct component of x, and a case's left row
-    is the AND of its components' rows.  This assumes that each factor sees
+    is one ``&`` of its components' rows.  This assumes that each factor sees
     its side of x only through ``==``; an unhashable component is evaluated
     afresh.  Any other relation runs once per feasible case.
     """
@@ -384,14 +387,15 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
             right = bytes(map(leq_b, ys, repeat(image)))
             k = bytes(compress(right, off)).find(1)
             stray = None if k < 0 else stray_at[k]
-            return bytes(compress(right, flags)), stray
+            return (int.from_bytes(bytes(compress(right, flags)), "little"),
+                    stray)
 
         def first(x):
             right, stray = _memoized(rows, upper(x), row)
-            left = left_of(x)
-            if left == right:
+            diff = left_of(x) ^ right
+            if not diff:
                 return stray
-            j = at[next(compress(count(), map(ne, left, right)))]
+            j = at[((diff & -diff).bit_length() - 1) >> 3]
             return j if stray is None else min(j, stray)
         return first
     return _Part(bindings, [gc.x_axis, gc.y_axis], _Rows(start))

@@ -390,3 +390,63 @@ def test_factor_mutant_orders_match_reference(name, u, mutant, build):
     engine = outcome(check_gc_instance(dataclasses.replace(gc, order_a=order)))
     assert engine == reference(gc_cases(name, k, L, REAL[name], leq_a=leq))
     assert engine[0] == "fail"
+
+
+# --- the first mismatch of a row ---------------------------------------------
+#
+# The engine holds a row's left and right flags as ints, candidate i's flag
+# at bit 8·i, and reads the first mismatch off the lowest set bit of their
+# XOR.  Each seeded output below first differs from the real one at a chosen
+# candidate of the trigger's row: at the edges of a byte and of 32- and
+# 64-bit words, and at the row's last candidate.  Take's row is the AND of
+# its factor rows, takeWhile's (all elements pass) one call per candidate.
+# No wrong output differs at candidate 0, the empty sequence, which is below
+# every output; the strict-prefix order mutants above disagree there.
+
+MISMATCH_POSITIONS = (1, 7, 8, 29, 30, 31, 63, 64, -1)
+
+
+@pytest.mark.parametrize("name", ("take", "takeWhile"))
+@pytest.mark.parametrize("pos", MISMATCH_POSITIONS)
+def test_first_mismatch_at_each_bit_position(name, pos):
+    k, L = 2, 6
+    s = seqs(k, L)[pos]
+    wide = s + (0,) * (L - len(s))
+    if name == "take":
+        # real output s[:-1], wrong output above it: the right row is wider
+        trigger, bad = (len(s) - 1, s[:-1]), wide
+    else:
+        # real output wide, wrong output below it: the left row is wider
+        trigger, bad = (Pred(0b11, k), wide), s[:-1]
+
+    def hard(*args):
+        return bad if args == trigger else REAL[name](*args)
+    assert agree(name, k, L, hard) == ("fail", "fail")
+    assert engine_spec(name, k, L, hard)[2][-1] == ("ys", s)
+
+
+# takeWhile's spec ranges over the whole carrier: a candidate that fails the
+# predicate has a false left side, and the first one with a true right flag
+# (the stray) is kept apart from the feasible row.  dropWhile's spec ranges
+# over its easy set alone, so it has no stray.
+STRAYS = {
+    # p keeps 1: stray (0,) at 1 before the feasible (1,) at 2
+    "stray-first": (0b10, (1, 1), (0,), (0,)),
+    # p keeps 0: feasible (0,) at 1 before the stray (1,) at 2
+    "stray-after": (0b01, (0, 0), (1,), (0,)),
+    # p keeps 0: the feasible rows agree, the stray (1,) alone differs
+    "stray-alone": (0b01, (1,), (1,), (1,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAYS))
+def test_stray_and_feasible_mismatch_in_either_order(case):
+    mask, xs, bad, witness = STRAYS[case]
+    trigger = (Pred(mask, 2), xs)
+
+    def hard(*args):
+        return bad if args == trigger else take_while(*args)
+    # an infeasible wrong output leaves the gc check, over the easy set, intact
+    assert agree("takeWhile", 2, 3, hard)[0] == "fail"
+    assert engine_spec("takeWhile", 2, 3, hard)[2] == (
+        ("p", trigger[0]), ("xs", xs), ("ys", witness))

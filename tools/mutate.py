@@ -11,6 +11,9 @@ functions included) gives one mutant per operator:
   ``in`` to ``not in``, ...) or move its boundary (``<`` to ``<=``, ...);
 - add or subtract 1 on a subscript index or slice bound (not on a string
   key, nor inside a type annotation);
+- add or subtract 1 on an integer constant that is an operand of a binary
+  operator (``x >> 3``, ``n - 1``);
+- swap ``&`` and ``|``, and turn ``^`` into ``|``;
 - swap ``and`` and ``or``, and the calls ``all`` and ``any``;
 - drop a ``not``.
 
@@ -21,7 +24,8 @@ that copy, the fixed test subset ``TESTS`` runs against it with ``-x``, and
 the original file is put back.  A mutant is killed when the subset fails or
 runs past ``TIMEOUT`` seconds, and survives when it passes.  One line per
 mutant and the score go to stdout.  The subset must pass on the unmutated
-copy first.
+copy first.  The exit status is 0 when every mutant is killed, 1 when any
+survives and 2 when the subset fails unmutated.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_connections.py", "tests/test_oracle.py",
-         "tests/test_golden_reports.py", "tests/test_law_mutants.py")
+         "tests/test_golden_reports.py", "tests/test_law_mutants.py",
+         "tests/test_spec_mutants.py")
 TIMEOUT = 120.0
 
 _NEGATE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
@@ -47,6 +52,8 @@ _NEGATE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
 _BOUNDARY = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
              ast.GtE: ast.Gt}
 _SWAP_CALL = {"all": "any", "any": "all"}
+_SWAP_BIT = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
+             ast.BitXor: ast.BitOr}
 
 
 def _span(lines: list[bytes], node: ast.AST) -> tuple[int, int]:
@@ -78,6 +85,15 @@ def _edits(fn: ast.AST, src: bytes):
                         ops[i] = table[type(op)]()
                         new = ast.Compare(node.left, ops, node.comparators)
                         yield node, f"({ast.unparse(new)})", label
+        elif isinstance(node, ast.BinOp):
+            if type(node.op) in _SWAP_BIT:
+                new = ast.BinOp(node.left, _SWAP_BIT[type(node.op)](),
+                                node.right)
+                yield node, f"({ast.unparse(new)})", "&/|"
+            for c in (node.left, node.right):
+                if isinstance(c, ast.Constant) and type(c.value) is int:
+                    for sign, v in (("+", c.value + 1), ("-", c.value - 1)):
+                        yield c, f"({v})", f"constant {sign}1"
         elif isinstance(node, ast.BoolOp):
             new = ast.BoolOp(ast.Or() if isinstance(node.op, ast.And)
                              else ast.And(), node.values)
@@ -164,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{'killed ' if killed else 'SURVIVED'} {file}:{line} "
                   f"{function} [{label}] {change}", flush=True)
         print(f"score: {len(plan) - survivors}/{len(plan)} killed")
-        return 0
+        return 1 if survivors else 0
     finally:
         shutil.rmtree(base)
 
