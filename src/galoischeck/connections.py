@@ -10,8 +10,9 @@ index in the fixed axis order, and on failure ``cases_checked`` is that
 violation's 1-based position.
 
 A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row.
-A row is one int, candidate i's flag at bit 8·i (so each relation returns a
-bool), and a row's first mismatch is the lowest set bit of left XOR right.
+A row is one int, candidate i's flag at bit 8·i (so each relation must
+return a bool; a row refuses any other result with a ``ValueError``), and a
+row's first mismatch is the lowest set bit of left XOR right.
 It keeps one right-hand row per distinct ``upper(x)`` for that check only,
 which assumes that ``order_b.leq`` sees its second argument only through
 ``==``; unhashable images are not memoized.  The left side runs on the
@@ -328,10 +329,36 @@ def _memoized(memo: dict, key, make: Callable):
         return make(key)
 
 
+def _flags_of(leq: Callable, lows: list) -> Callable:
+    """x's flags: ``leq(low, x)`` for every low, one byte each.  A result
+    other than a bool (or 0 or 1) is refused with a ``ValueError`` that
+    names ``leq``, the result and its arguments."""
+    def checked(low, x):
+        flag = leq(low, x)
+        if not isinstance(flag, int) or flag not in (0, 1):
+            raise ValueError(f"relation {getattr(leq, '__name__', leq)} "
+                             f"returned {flag!r} for ({low!r}, {x!r}); it "
+                             f"must return a bool")
+        return flag
+
+    def flags(x) -> bytes:
+        try:
+            row = bytes(map(leq, lows, repeat(x)))
+            if not row.translate(None, b"\0\1"):
+                return row
+        except (TypeError, ValueError):
+            pass
+        # Some result is not 0 or 1: evaluate again, one checked call per
+        # low, to name it.  An error that leq itself raises propagates.
+        return bytes(map(checked, lows, repeat(x)))
+    return flags
+
+
 def _row_of(leq: Callable, lows: list) -> Callable:
     """x's row: ``leq(low, x)`` for every low, as an int with low i's flag
-    at bit 8·i (``leq`` returns a bool)."""
-    return lambda x: int.from_bytes(bytes(map(leq, lows, repeat(x))), "little")
+    at bit 8·i (``leq`` must return a bool; see ``_flags_of``)."""
+    flags = _flags_of(leq, lows)
+    return lambda x: int.from_bytes(flags(x), "little")
 
 
 def _left_rows(leq: Callable, lows: list) -> Callable:
@@ -372,7 +399,7 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     ys = gc.y_axis[1]
 
     def start():
-        leq_b, upper = gc.order_b.leq, gc.upper
+        right_of, upper = _flags_of(gc.order_b.leq, ys), gc.upper
         flags = [True] * len(ys) if feasible is None else feasible
         off = list(map(not_, flags))
         left_of = _left_rows(gc.order_a.leq,
@@ -384,7 +411,7 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
         def row(image):
             """The image's right flags on the feasible candidates, and the
             first infeasible index whose right flag is true, or None."""
-            right = bytes(map(leq_b, ys, repeat(image)))
+            right = right_of(image)
             k = bytes(compress(right, off)).find(1)
             stray = None if k < 0 else stray_at[k]
             return (int.from_bytes(bytes(compress(right, flags)), "little"),

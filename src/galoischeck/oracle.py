@@ -3,15 +3,16 @@ specification: the result must be the greatest candidate y, under the hard
 ordering, that meets the one condition ``lower(y) <= x and easy(y)`` of the
 combinator's ``TARGETS`` row.
 
-This module never calls the combinator under test.  It enumerates candidates
-below the input, filters by the easy condition, and picks the maximum by
-pairwise comparison, so it serves as an independent oracle for the direct
-implementations.
+This module never calls the combinator under test.  It takes the candidates
+below the input from the order's ``below`` generator (for zip, every pair
+sequence no longer than the shorter input), filters them by the easy
+condition, and picks the maximum by pairwise comparison, so it serves as an
+independent oracle for the direct implementations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .core import (
     DEFAULT_BUDGET,
@@ -22,10 +23,10 @@ from .core import (
     _within_budget,
     carrier_size_upper,
     enum_pair_seqs,
-    enumerate_carrier,
 )
-# Unused here; perfbench/tracing.py wraps this module global by name.
+# Unused here; perfbench/tracing.py wraps these module globals by name.
 from .combinators import head_fails  # noqa: F401
+from .core import enumerate_carrier  # noqa: F401
 from .connections import SPEC_NAMES, TARGETS, refuse_inapplicable
 from .orders import OrderDef
 
@@ -49,16 +50,21 @@ class NoGreatestError(OracleError):
 
 
 def candidates_below(o: OrderDef, x, u: Universe) -> list:
-    """All carrier elements below x under o, duplicate-free, in carrier
-    enumeration order."""
-    members = set(o.below(x, u))
-    return [v for v in enumerate_carrier(o.carrier, u) if v in members]
+    """The down-set of x under o: what ``o.below`` yields, duplicate-free,
+    shortest first and lexicographic within a length, which is the carrier
+    enumeration order of the SEQ and PAIR_SEQ carriers that every target's
+    ``order`` ranges over.  No carrier is walked, so the list is only as
+    complete as ``below``; tier-1 proves that generator complete only at
+    small bounds (``test_below_generators_are_complete_and_sound``)."""
+    return sorted(set(o.below(x, u)), key=lambda v: (len(v), v))
 
 
 def best_under(o: OrderDef, easy: Callable[[object], bool], says: str, x,
-               u: Universe, candidates: Sequence | None = None):
+               u: Universe, candidates: Iterable | None = None):
     """The greatest element, under o, among candidates below x satisfying
-    the easy condition ``easy``, which ``says`` describes.
+    the easy condition ``easy``, which ``says`` describes.  ``candidates``
+    is any iterable, walked once in order (by default x's down-set,
+    ``candidates_below``); only the feasible ones are kept.
 
     Raises EmptyCandidatesError when nothing qualifies and NoGreatestError
     when the qualifying set has maximal elements but no single top.
@@ -79,6 +85,7 @@ def best_under(o: OrderDef, easy: Callable[[object], bool], says: str, x,
         f"{len(maxima)} maximal candidates", maxima)
 
 
+# Unused here; perfbench/tracing.py wraps this module global by name.
 def _zip_candidates(xs: Seq, ys: Seq, u: Universe) -> list:
     bound = min(len(xs), len(ys))
     return [zs for zs in enum_pair_seqs(u) if len(zs) <= bound]
@@ -92,8 +99,11 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
     name selects the combinator; the keyword arguments supply its inputs
     (xs always; pred for the predicate family, n for take, ys for zip).
     An input sequence outside the universe ``u`` is refused.  The search
-    walks the order's whole carrier, so it refuses upfront when that
-    carrier holds more than ``budget`` elements.
+    walks x's down-set under the order (``candidates_below``), which trusts
+    the order's ``below`` generator to be complete; zip walks, in carrier
+    order, only the pair sequences no longer than the shorter input.  The
+    budget still counts the order's whole carrier: the query refuses
+    upfront when that carrier holds more than ``budget`` elements.
     """
     _known("combinator", name, SPEC_NAMES)
     t = TARGETS[name]
@@ -119,5 +129,6 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
 
     _within_budget(f"oracle:{name}", carrier_size_upper(t.order.carrier, u),
                    budget)
-    candidates = None if ys is None else _zip_candidates(xs, ys, u)
+    candidates = None if ys is None else enum_pair_seqs(
+        Universe(u.alphabet_size, min(len(xs), len(ys))))
     return best_under(t.order, solves, says, x, u, candidates=candidates)

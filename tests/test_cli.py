@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from galoischeck import oracle
 from galoischeck.cli import build_parser, main
 from galoischeck.connections import TARGETS
 
@@ -87,12 +88,29 @@ def test_oracle_json_output(capsys):
     assert payload["result"] == [0, 1]
 
 
+ZIP_QUERY = ("oracle", "--target", "zip", "--alphabet", "6",
+             "--input", "1,2,3", "--input", "4,5", "--format", "json")
+
+
 def test_oracle_zip_two_inputs(capsys):
-    code, out, _ = run_cli(
-        capsys, "oracle", "--target", "zip", "--alphabet", "6",
-        "--input", "1,2,3", "--input", "4,5", "--format", "json")
+    code, out, _ = run_cli(capsys, *ZIP_QUERY)
     assert code == 0
     assert json.loads(out)["result"] == [[1, 4], [2, 5]]
+
+
+def test_oracle_zip_walks_only_the_shorter_inputs_length(capsys, monkeypatch):
+    # pair sequences of length at most 2 over 36 pairs: 1 + 36 + 1,296
+    walked = 0
+    enum_pair_seqs = oracle.enum_pair_seqs
+
+    def counted(u):
+        nonlocal walked
+        for zs in enum_pair_seqs(u):
+            walked += 1
+            yield zs
+    monkeypatch.setattr(oracle, "enum_pair_seqs", counted)
+    assert run_cli(capsys, *ZIP_QUERY)[0] == 0
+    assert 0 < walked <= 1333
 
 
 ORACLE_FAILURE = ("oracle", "--target", "filter", "--pred", "0b11",

@@ -4,6 +4,7 @@ order, checked against frozen examples and the direct implementations."""
 import dataclasses
 import itertools
 import re
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,8 @@ from galoischeck import (
     take_while,
     zip_pair,
 )
-from galoischeck.connections import TARGETS
+from galoischeck.connections import SPEC_NAMES, TARGETS
+from galoischeck.core import enum_pair_seqs, enumerate_carrier
 from galoischeck.orders import PREFIX, SUBLIST
 
 U6 = Universe(6, 3)
@@ -76,7 +78,12 @@ def test_best_under_reports_incomparable_maxima():
     with pytest.raises(NoGreatestError, match="exactly one element") as info:
         best_under(SUBLIST, lambda c: len(c) == 1, "exactly one element",
                    (2, 4), U6)
-    assert set(info.value.maxima) == {(2,), (4,)}
+    # maxima come in carrier order: shortest first, lexicographic within
+    assert info.value.maxima == ((2,), (4,))
+    with pytest.raises(NoGreatestError) as info:
+        best_under(SUBLIST, lambda c: len(set(c)) <= 1, "one symbol",
+                   (0, 1, 0), U6)
+    assert info.value.maxima == ((1,), (0, 0))
 
 
 def test_oracle_spec_examples():
@@ -166,6 +173,19 @@ def test_oracle_matches_direct_implementations_exhaustively():
         assert oracle_spec("take", u, xs=xs, n=n) == take_n(n, xs)
 
 
+def test_one_zip_query_keeps_no_carrier_sized_list():
+    # the whole-carrier walk listed all 66,430 pair sequences at (3, 5)
+    xs, ys = (0, 1, 2, 0, 1), (2, 2, 1, 0, 0)
+    tracemalloc.start()
+    try:
+        got = oracle_spec("zip", Universe(3, 5), xs=xs, ys=ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == zip_pair(xs, ys)
+    assert peak < 64 * 1024
+
+
 def test_oracle_matches_zip_exhaustively():
     u = Universe(2, 2)
     seqs = list(enum_seqs(u))
@@ -181,3 +201,88 @@ def test_weaker_predicate_never_shortens_oracle_result():
         tight = oracle_spec("takeWhile", u, xs=xs, pred=p)
         loose = oracle_spec("takeWhile", u, xs=xs, pred=weaker)
         assert len(loose) >= len(tight)
+
+
+# --- the down-set walk against the whole-carrier walk -----------------------
+#
+# The oracle once walked the order's whole carrier, keeping what ``below``
+# yields (zip: every pair sequence no longer than the shorter input), then
+# picked the greatest feasible candidate.  That walk is kept here as the
+# reference: the down-set walk must give the same answer, or raise the same
+# error with the same maximal candidates in the same order, on every input.
+
+
+def whole_carrier_oracle(name, u, xs, arg):
+    t = TARGETS[name]
+    ys = arg if name == "zip" else None
+    x = xs if ys is None else (xs, ys)
+    x_a = (arg, xs) if t.param == "n" else x
+    says = t.says.format(arg.bits() if t.param == "p" else arg)
+    leq_a = (t.order_a or t.order).leq
+    if ys is None:
+        members = set(t.order.below(x, u))
+        candidates = [v for v in enumerate_carrier(t.order.carrier, u)
+                      if v in members]
+    else:
+        bound = min(len(xs), len(ys))
+        candidates = [zs for zs in enum_pair_seqs(u) if len(zs) <= bound]
+    feasible = [y for y in candidates if leq_a(t.lower(y), x_a) and (
+        t.easy is None or t.easy(arg, y))]
+    if not feasible:
+        raise EmptyCandidatesError(
+            f"no candidate below {x!r} satisfies: {says}")
+    for top in feasible:
+        if all(t.order.leq(c, top) for c in feasible):
+            return top
+    maxima = tuple(m for m in feasible if not any(
+        m != c and t.order.leq(m, c) for c in feasible))
+    raise NoGreatestError(
+        f"no greatest candidate below {x!r} for: {says}; "
+        f"{len(maxima)} maximal candidates", maxima)
+
+
+def outcome(query):
+    try:
+        return "result", query()
+    except (EmptyCandidatesError, NoGreatestError) as e:
+        return type(e).__name__, str(e), getattr(e, "maxima", None)
+
+
+def oracle_inputs(name, u):
+    """(xs, keyword, argument) for every query of ``name`` over ``u``."""
+    seqs = list(enum_seqs(u))
+    if name == "zip":
+        return [(xs, "ys", ys) for xs in seqs for ys in seqs]
+    if TARGETS[name].param == "n":
+        return [(xs, "n", n) for n in range(u.max_len + 2) for xs in seqs]
+    return [(xs, "pred", p) for p in enum_preds(u) for xs in seqs]
+
+
+# Row changes that make the oracle raise: nothing feasible, and several
+# maxima, which only the sublist order can have (below x the other orders
+# are chains).  One-symbol sublists of (0, 1, 0) have the maxima (1,) and
+# (0, 0), which only carrier order (shortest first) puts in that order.
+ROWS = {
+    "real": ({}, {"result"}),
+    "nothing-feasible": ({"easy": lambda arg, y: False},
+                         {"EmptyCandidatesError"}),
+    "one-symbol": ({"easy": lambda p, y: len(set(y)) <= 1
+                    and all_satisfy(p, y)}, {"result", "NoGreatestError"}),
+}
+DIFFERENTIAL = [(name, row, u) for name in SPEC_NAMES for row in ROWS
+                for u in ("2x4", "3x3")
+                if row != "one-symbol" or name == "filter"]
+
+
+@pytest.mark.parametrize("name,row,u", DIFFERENTIAL)
+def test_oracle_matches_the_whole_carrier_walk(name, row, u, monkeypatch):
+    u = Universe(*map(int, u.split("x")))
+    change, kinds = ROWS[row]
+    monkeypatch.setitem(TARGETS, name, dataclasses.replace(
+        TARGETS[name], **change))
+    seen = set()
+    for xs, key, arg in oracle_inputs(name, u):
+        got = outcome(lambda: oracle_spec(name, u, xs=xs, **{key: arg}))
+        assert got == outcome(lambda: whole_carrier_oracle(name, u, xs, arg))
+        seen.add(got[0])
+    assert seen == kinds

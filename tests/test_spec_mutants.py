@@ -18,6 +18,7 @@ survive as an equivalent mutant.
 import dataclasses
 import itertools
 import random
+import re
 from operator import le
 
 import pytest
@@ -450,3 +451,75 @@ def test_stray_and_feasible_mismatch_in_either_order(case):
     assert agree("takeWhile", 2, 3, hard)[0] == "fail"
     assert engine_spec("takeWhile", 2, 3, hard)[2] == (
         ("p", trigger[0]), ("xs", xs), ("ys", witness))
+
+
+# --- relations must return a bool -------------------------------------------
+#
+# A row holds one byte per candidate, so a relation result other than 0 or 1
+# would be misread (2 as a mismatch) or crash the row (None).  The engine
+# refuses either with a ValueError that names the relation, the result and
+# its arguments, on the right row, a plain left row and a factor row alike.
+
+
+def prefix_two(a, b):
+    return 2 if prefix(a, b) else False
+
+
+def prefix_or_none(a, b):
+    # () is below every image, so the row's first result is a good True
+    return prefix(a, b) or None
+
+
+def on_take_side(side, second):
+    """``second`` as take's relation on ``side``: itself on order_b, else
+    the product with the count order, componentwise or plain."""
+    if side == "order_b":
+        return second
+    leq = componentwise(le, second, name="product")
+    if side == "factor":
+        return leq
+    return lambda a, b: leq(a, b)
+
+
+# (relation, side) -> the refusal, at the first bad result of the scan
+BAD_FLAGS = {
+    (prefix_two, "order_b"): "prefix_two returned 2 for ((), ())",
+    (prefix_two, "factor"): "prefix_two returned 2 for ((), ())",
+    (prefix_two, "plain"): "<lambda> returned 2 for ((0, ()), (0, ()))",
+    (prefix_or_none, "order_b"): "prefix_or_none returned None for ((0,), ())",
+    (prefix_or_none, "factor"): "prefix_or_none returned None for ((0,), ())",
+    (prefix_or_none, "plain"):
+        "<lambda> returned None for ((1, (0,)), (1, ()))",
+}
+
+
+def _take_gc_with(side, leq):
+    [(_, gc)] = build_gcs("take", Universe(2, 2))
+    field = "order_b" if side == "order_b" else "order_a"
+    order = dataclasses.replace(getattr(gc, field), leq=leq)
+    return dataclasses.replace(gc, **{field: order})
+
+
+@pytest.mark.parametrize("bad,side", BAD_FLAGS,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_a_relation_that_does_not_return_a_bool_is_refused(bad, side):
+    gc = _take_gc_with(side, on_take_side(side, bad))
+    message = "relation " + BAD_FLAGS[bad, side] + "; it must return a bool"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_gc_instance(gc)
+
+
+@pytest.mark.parametrize("side", ("order_b", "factor", "plain"))
+def test_a_relation_may_return_0_and_1(side):
+    gc = _take_gc_with(side, on_take_side(
+        side, lambda a, b: int(prefix(a, b))))
+    [(_, real)] = build_gcs("take", Universe(2, 2))
+    assert outcome(check_gc_instance(gc)) == outcome(check_gc_instance(real))
+    assert check_gc_instance(gc).verdict == "pass"
+
+
+def test_an_error_the_relation_raises_is_not_renamed():
+    def broken(a, b):
+        raise TypeError("broken relation")
+    with pytest.raises(TypeError, match="^broken relation$"):
+        check_gc_instance(_take_gc_with("order_b", broken))
