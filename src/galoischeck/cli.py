@@ -13,6 +13,7 @@ errors, unknown targets, exhausted search spaces, and blown budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -74,7 +75,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``galois`` parser, built once per process and shared by every
+    call: a library caller or a test that runs ``main`` many times pays for
+    it once.  A fresh ``galois`` process calls ``main`` once, so it gains
+    nothing from the cache.  Callers must not modify the returned parser."""
     parser = argparse.ArgumentParser(
         prog="galois",
         description="Exhaustive checking of split specifications and "

@@ -321,6 +321,17 @@ def test_parser_requires_a_target_except_for_list_targets(capsys, command):
     assert "--target" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_unchanged():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["oracle", "--target", "zip", "--input", "0",
+                               "--input", "1"])
+    assert first.input == ["0", "1"]
+    # an earlier call leaves no value behind in the shared parser
+    assert parser.parse_args(["oracle", "--target", "zip"]).input == []
+    assert parser.parse_args(["check-spec", "--target", "take"]).n is None
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "galoischeck", "list-targets"],

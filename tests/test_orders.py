@@ -63,6 +63,19 @@ def test_is_suffix_matches_tail_characterization(s, l):
     assert is_suffix(s, l) == tail_suffix(s, l)
 
 
+def test_prefix_and_sublist_match_closed_forms_on_every_pair():
+    """Every pair at (3, 4), so every length combination, including each
+    one that the length clause decides before any loop, and each pair
+    again with either side or both as lists."""
+    seqs = list(enum_seqs(Universe(3, 4)))
+    for ys, xs in product(seqs, repeat=2):
+        prefix, sublist = slice_prefix(ys, xs), selection_sublist(ys, xs)
+        for a, b in ((ys, xs), (list(ys), xs), (ys, list(xs)),
+                     (list(ys), list(xs))):
+            assert is_prefix(a, b) == prefix, (a, b)
+            assert is_sublist(a, b) == sublist, (a, b)
+
+
 def test_frozen_relation_examples():
     assert is_prefix((), (5, 1))
     assert is_prefix((2, 4), (2, 4, 5))
@@ -240,7 +253,8 @@ def reference_order_laws(o, u, budget=DEFAULT_BUDGET):
             if index[x] in row:
                 continue
             if not leq(x, y):
-                raise ValueError(f"{x!r} is not below {y!r}")
+                raise ValueError(f"below-generator for {o.name} yielded "
+                                 f"{x!r} which is not below {y!r}")
             row.append(index[x])
         below.append(row)
     above = [[j for j in range(n) if i in below[j]] for i in range(n)]
@@ -265,6 +279,11 @@ def all_prefixes(y, u):
     return [y[:i] for i in range(len(y) + 1)]
 
 
+def prefix_but_not_at_0(a, b):
+    """Prefix, except that (0,) is not below itself."""
+    return is_prefix(a, b) and not a == b == (0,)
+
+
 SEQ = CarrierKind.SEQ
 HAND_MADE = {
     # not transitive: () <= (0,) <= (0, 0) but not () <= (0, 0)
@@ -279,13 +298,29 @@ HAND_MADE = {
     "length": OrderDef("length", lambda a, b: len(a) <= len(b), SEQ,
                        lambda y, u: [x for x in enum_seqs(u)
                                      if len(x) <= len(y)]),
+    # every yield a new tuple, so y comes back equal to itself, not as y
+    "prefix-copies": OrderDef("prefix-copies", is_prefix, SEQ,
+                              lambda y, u: [tuple(list(x))
+                                            for x in all_prefixes(y, u)]),
+    # fails reflexivity at (0,), and the generator yields (0,) below (0,)
+    "prefix-irreflexive": OrderDef("prefix-irreflexive", prefix_but_not_at_0,
+                                   SEQ, all_prefixes),
 }
 DIFFERENTIAL_ORDERS = [*ORDERS.values(), SEQ_PAIR_PREFIX, SEQ_LIST_PREFIX,
                        *HAND_MADE.values()]
 
 
+def outcome(check, order, u, **kw):
+    """check's report on order, or the message of the ValueError it raises
+    for a yield that is not below."""
+    try:
+        return check(order, u, **kw)
+    except ValueError as exc:
+        return str(exc)
+
+
 def counted_check(order, u):
-    """The unbounded report on order, and the leq evaluations it made."""
+    """The unbounded outcome on order, and the leq evaluations it made."""
     calls = 0
 
     def counted(a, b):
@@ -293,7 +328,8 @@ def counted_check(order, u):
         calls += 1
         return order.leq(a, b)
 
-    return check_order_laws(replace(order, leq=counted), u), calls
+    got = outcome(check_order_laws, replace(order, leq=counted), u)
+    return got, calls
 
 
 @pytest.mark.parametrize("order", DIFFERENTIAL_ORDERS,
@@ -301,19 +337,19 @@ def counted_check(order, u):
 @pytest.mark.parametrize("k,L", [(2, 3), (3, 2)])
 def test_engine_matches_nested_loop_reference(order, k, L):
     u = Universe(k, L)
-    expected = reference_order_laws(order, u)
+    expected = outcome(reference_order_laws, order, u)
     got, calls = counted_check(order, u)
     assert got == expected
     for budget in (10, 100, 1000, calls - 1, calls):
         try:
-            bounded = check_order_laws(order, u, budget=budget)
+            bounded = outcome(check_order_laws, order, u, budget=budget)
         except UniverseTooLargeError as exc:
             bounded = None
             if budget == calls - 1:
                 # refused at the last evaluation the unbounded check makes
                 assert exc.projected == calls
         try:
-            reference_order_laws(order, u, budget=budget)
+            outcome(reference_order_laws, order, u, budget=budget)
             reference_completes = True
         except UniverseTooLargeError:
             reference_completes = False
@@ -366,3 +402,21 @@ def test_partial_or_repeating_generators_still_pass(name):
     report = check_order_laws(HAND_MADE[name], Universe(2, 3))
     assert report.reflexive.ok and report.transitive.ok
     assert report.antisymmetric.ok
+
+
+def test_a_yield_that_fails_reflexivity_is_still_refused():
+    with pytest.raises(ValueError, match=r"yielded \(0,\) which is not "
+                       r"below \(0,\)"):
+        check_order_laws(HAND_MADE["prefix-irreflexive"], Universe(2, 3))
+
+
+def test_reflexive_yields_are_not_evaluated_again():
+    """Once reflexivity holds, a yield equal to y costs no evaluation, so
+    prefix at (2, 3) makes one evaluation per element fewer than a check
+    that evaluates every yield; a yield of an equal copy counts the same."""
+    u = Universe(2, 3)
+    _, calls = counted_check(ORDERS["prefix"], u)
+    # 15 reflexive, 34 proper-prefix yields and their 34 antisymmetry
+    # checks; the 15 yields of y itself are not evaluated
+    assert calls == 83
+    assert counted_check(HAND_MADE["prefix-copies"], u)[1] == calls

@@ -15,6 +15,7 @@ functions included) gives one mutant per operator:
   operator (``x >> 3``, ``n - 1``);
 - swap ``&`` and ``|``, and turn ``^`` into ``|``;
 - swap ``and`` and ``or``, and the calls ``all`` and ``any``;
+- swap the string constants ``"little"`` and ``"big"`` (a byteorder);
 - drop a ``not``.
 
 The working tree (without ``.git`` and caches) is copied once into a fresh
@@ -42,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_connections.py", "tests/test_oracle.py",
          "tests/test_golden_reports.py", "tests/test_law_mutants.py",
-         "tests/test_spec_mutants.py")
+         "tests/test_spec_mutants.py", "tests/test_orders.py")
 TIMEOUT = 120.0
 
 _NEGATE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
@@ -52,6 +53,7 @@ _NEGATE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
 _BOUNDARY = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
              ast.GtE: ast.Gt}
 _SWAP_CALL = {"all": "any", "any": "all"}
+_SWAP_STR = {"little": "big", "big": "little"}
 _SWAP_BIT = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
              ast.BitXor: ast.BitOr}
 
@@ -103,6 +105,8 @@ def _edits(fn: ast.AST, src: bytes):
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in _SWAP_CALL):
             yield node.func, _SWAP_CALL[node.func.id], "all/any"
+        elif isinstance(node, ast.Constant) and node.value in _SWAP_STR:
+            yield node, repr(_SWAP_STR[node.value]), "little/big"
         elif isinstance(node, ast.Subscript):
             s = node.slice
             bounds = (s.lower, s.upper) if isinstance(s, ast.Slice) else (s,)
