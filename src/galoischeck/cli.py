@@ -1,9 +1,11 @@
 """Command line front end.
 
-Subcommands map one-to-one onto the library's check entry points.  Output is
-deterministic for a given query: JSON reports never include timing (the
-elapsed_ms field is always null) so identical runs produce identical bytes
-regardless of worker count or machine speed.
+Each subcommand is one ``_COMMANDS`` row.  Its runner, called as
+``runner(args, u)``, returns (exit status, JSON payload, text lines), and
+``run`` prints the form that ``--format`` names.  Output is deterministic
+for a given query: JSON reports never include timing (the elapsed_ms field
+is always null) so identical runs produce identical bytes regardless of
+worker count or machine speed.
 
 Exit status: 0 when the check passes or is not applicable, 1 when a
 counterexample is found or the oracle cannot determine a result, 2 for usage
@@ -43,70 +45,6 @@ from .oracle import NoGreatestError, OracleError, oracle_spec
 from .orders import ORDERS
 
 
-_PRED = ("--pred", {"help": "restrict to one predicate bitmask"})
-
-# command -> (its help, --target help, the targets it accepts, the noun its
-# unknown-target message uses, its own flags after the common ones)
-_COMMANDS = {
-    "check-order": ("partial order laws for a named ordering",
-                    "ordering name (see list-targets)", ORDERS, "ordering",
-                    ()),
-    "check-spec": ("easy/hard split specification of a combinator",
-                   "combinator name (see list-targets)", SPEC_NAMES,
-                   "combinator", (_PRED, ("--n", {
-                       "type": int, "help": "restrict take to one count"}))),
-    "check-gc": ("defining equivalence of the adjoint pair",
-                 "combinator or splitter/joiner pair name", GC_TARGETS,
-                 "adjoint pair target", (_PRED,)),
-    "check-laws": ("one named law across all applicable targets",
-                   "law name (see list-targets)", LAW_NAMES, "law", ()),
-    "find-counterexample": ("search for a round-trip failure refuting a "
-                            "claimed adjunction", "splitter/joiner pair name",
-                            PAIR_NAMES, "splitter/joiner pair", ()),
-    "oracle": ("compute one combinator application from its split "
-               "specification alone", "combinator name", SPEC_NAMES,
-               "combinator", (
-                   ("--pred", {"help": "predicate bitmask"}),
-                   ("--n", {"type": int, "help": "count for take"}),
-                   ("--input", {"action": "append", "default": [], "help":
-                                "comma separated sequence; repeat for zip"}))),
-    "list-targets": ("everything the check commands accept", "ignored", None,
-                     None, ()),
-}
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``galois`` parser, built once per process and shared by every
-    call: a library caller or a test that runs ``main`` many times pays for
-    it once.  A fresh ``galois`` process calls ``main`` once, so it gains
-    nothing from the cache.  Callers must not modify the returned parser."""
-    parser = argparse.ArgumentParser(
-        prog="galois",
-        description="Exhaustive checking of split specifications and "
-                    "adjoint-pair laws for sequence combinators over small "
-                    "finite universes.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, row in _COMMANDS.items():
-        summary, target_help, targets, _, flags = row
-        p = sub.add_parser(command, help=summary)
-        p.add_argument("--target", required=targets is not None,
-                       help=target_help)
-        p.add_argument("--alphabet", type=int, default=2,
-                       help="alphabet size (default 2)")
-        p.add_argument("--max-len", type=int, default=5,
-                       help="maximum sequence length (default 5)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="maximum evaluations before refusing to run")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility and ignored; scans "
-                            "run sequentially")
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
-    return parser
-
-
 def encode_value(v):
     """JSON encoding of witness and oracle values: predicates by bitmask,
     sequences as nested arrays."""
@@ -129,31 +67,30 @@ def _payload(command: str, target: str, u: Universe, **fields) -> dict:
             **fields, "tool_version": TOOL_VERSION}
 
 
-def report_payload(command: str, target: str, u: Universe,
-                   rep: CheckReport) -> dict:
-    cx = None
-    if rep.counterexample is not None:
-        cx = {name: encode_value(val) for name, val in rep.counterexample}
-    return _payload(command, target, u, cases_checked=rep.cases_checked,
-                    verdict=rep.verdict, counterexample=cx, elapsed_ms=None)
+def _universe_line(u: Universe) -> str:
+    return f"universe: alphabet={u.alphabet_size} max_len={u.max_len}"
 
 
-def emit_report(command: str, target: str, u: Universe, rep: CheckReport,
-                fmt: str, extra_text: list[str] | None = None) -> int:
-    if fmt == "json":
-        print(json.dumps(report_payload(command, target, u, rep), indent=2))
-    else:
-        print(f"law: {rep.law_name}")
-        print(f"universe: alphabet={u.alphabet_size} max_len={u.max_len}")
-        print(f"cases: {rep.cases_checked}")
-        print(f"verdict: {rep.verdict}")
-        if rep.counterexample is not None:
-            print("counterexample:")
-            for name, val in rep.counterexample:
-                print(f"  {name} = {render_value(val)}")
-        for line in extra_text or []:
-            print(line)
-    return 0 if rep.verdict in ("pass", "not-applicable") else 1
+def _report(args, u: Universe, rep: CheckReport, *extra: str) -> tuple:
+    """A check report's outcome; ``extra`` lines end its text form."""
+    cx = rep.counterexample
+    lines = [f"law: {rep.law_name}", _universe_line(u),
+             f"cases: {rep.cases_checked}", f"verdict: {rep.verdict}"]
+    if cx is not None:
+        lines += ["counterexample:",
+                  *(f"  {name} = {render_value(val)}" for name, val in cx)]
+        cx = {name: encode_value(val) for name, val in cx}
+    payload = _payload(args.command, args.target, u,
+                       cases_checked=rep.cases_checked, verdict=rep.verdict,
+                       counterexample=cx, elapsed_ms=None)
+    status = 0 if rep.verdict in ("pass", "not-applicable") else 1
+    return status, payload, [*lines, *extra]
+
+
+def _check_order(args, u: Universe) -> tuple:
+    rep, least = order_laws_report(args.target, u, budget=args.budget)
+    return _report(args, u, rep, "least: " + (
+        "none" if least is None else render_value(least)))
 
 
 def _parse_pred(text: str | None, u: Universe) -> Pred | None:
@@ -205,99 +142,139 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _list_targets(fmt: str) -> int:
+def _list_targets(args, u) -> tuple:
     groups = {
         "orders": sorted(ORDERS),
         "specs": sorted(SPEC_NAMES),
         "pairs": sorted(PAIR_NAMES),
         "laws": sorted(LAW_NAMES),
     }
-    if fmt == "json":
-        print(json.dumps(groups, indent=2))
-    else:
-        for key, names in groups.items():
-            print(f"{key}: {' '.join(names)}")
-    return 0
+    return 0, groups, [f"{key}: {' '.join(names)}"
+                       for key, names in groups.items()]
 
 
-def _run_oracle(args, u: Universe) -> int:
+def _run_oracle(args, u: Universe) -> tuple:
     pred = _target_pred(args, u)
     param = TARGETS[args.target].param
     seqs = [_parse_seq(text, u) for text in args.input]
     # zip, the one combinator without a parameter, takes two sequences
     want = 1 if param else 2
     if len(seqs) != want:
-        return _usage(f"{args.target} oracle takes exactly {want} --input")
-    inputs: dict = {"xs": seqs[0]}
-    if param is None:
-        inputs["ys"] = seqs[1]
-    elif param == "n":
-        if args.n is None:
-            return _usage(f"{args.target} oracle needs --n")
-        inputs["n"] = args.n
-    elif pred is None:
-        return _usage(f"{args.target} oracle needs --pred")
-    else:
-        inputs["pred"] = pred
+        raise SystemExit(_usage(
+            f"{args.target} oracle takes exactly {want} --input"))
+    # the parameter's input, keyed by its flag's name; zip's is ys
+    key, value = {None: ("ys", seqs[-1]), "n": ("n", args.n),
+                  "p": ("pred", pred)}[param]
+    if value is None:
+        raise SystemExit(_usage(f"{args.target} oracle needs --{key}"))
+    inputs = {"xs": seqs[0], key: value}
 
-    encoded = {k: encode_value(v) for k, v in inputs.items()}
+    fields = {"inputs": {k: encode_value(v) for k, v in inputs.items()}}
+    lines = [f"target: {args.target}"]
     try:
         result = oracle_spec(args.target, u, budget=args.budget, **inputs)
     except OracleError as exc:
-        if args.format == "json":
-            outcome = {"error": str(exc)}
-            if isinstance(exc, NoGreatestError):
-                outcome["maxima"] = [encode_value(m) for m in exc.maxima]
-            print(json.dumps(_payload("oracle", args.target, u,
-                                      inputs=encoded, **outcome), indent=2))
-        else:
-            print(f"target: {args.target}")
-            print(f"error: {exc}")
-            if isinstance(exc, NoGreatestError):
-                for m in exc.maxima:
-                    print(f"  maximal: {render_value(m)}")
-        return 1
-    if args.format == "json":
-        print(json.dumps(_payload("oracle", args.target, u, inputs=encoded,
-                                  result=encode_value(result)), indent=2))
-    else:
-        print(f"target: {args.target}")
-        print(f"universe: alphabet={u.alphabet_size} max_len={u.max_len}")
-        for k, v in inputs.items():
-            print(f"{k}: {render_value(v)}")
-        print(f"result: {render_value(result)}")
-    return 0
+        fields["error"] = str(exc)
+        lines.append(f"error: {exc}")
+        if isinstance(exc, NoGreatestError):
+            fields["maxima"] = [encode_value(m) for m in exc.maxima]
+            lines += [f"  maximal: {render_value(m)}" for m in exc.maxima]
+        return 1, _payload("oracle", args.target, u, **fields), lines
+    lines += [_universe_line(u),
+              *(f"{k}: {render_value(v)}" for k, v in inputs.items()),
+              f"result: {render_value(result)}"]
+    return 0, _payload("oracle", args.target, u, **fields,
+                       result=encode_value(result)), lines
+
+
+_PRED = ("--pred", {"help": "restrict to one predicate bitmask"})
+
+# command -> (its help, --target help, the targets it accepts, the noun its
+# unknown-target message uses, its own flags after the common ones, its
+# runner).  A runner calls its entry point through this module's globals,
+# so that a caller that rebinds one of them is honoured.
+_COMMANDS = {
+    "check-order": ("partial order laws for a named ordering",
+                    "ordering name (see list-targets)", ORDERS, "ordering",
+                    (), _check_order),
+    "check-spec": ("easy/hard split specification of a combinator",
+                   "combinator name (see list-targets)", SPEC_NAMES,
+                   "combinator", (_PRED, ("--n", {
+                       "type": int, "help": "restrict take to one count"})),
+                   lambda a, u: _report(a, u, check_easy_hard(
+                       a.target, u, pred=_target_pred(a, u), n=a.n,
+                       budget=a.budget))),
+    "check-gc": ("defining equivalence of the adjoint pair",
+                 "combinator or splitter/joiner pair name", GC_TARGETS,
+                 "adjoint pair target", (_PRED,),
+                 lambda a, u: _report(a, u, check_canonical_gc(
+                     a.target, u, pred=_target_pred(a, u), budget=a.budget))),
+    "check-laws": ("one named law across all applicable targets",
+                   "law name (see list-targets)", LAW_NAMES, "law", (),
+                   lambda a, u: _report(a, u, check_law(
+                       a.target, u, budget=a.budget))),
+    "find-counterexample": ("search for a round-trip failure refuting a "
+                            "claimed adjunction", "splitter/joiner pair name",
+                            PAIR_NAMES, "splitter/joiner pair", (),
+                            lambda a, u: _report(
+                                a, u, find_non_gc_counterexample(
+                                    a.target, u, budget=a.budget))),
+    "oracle": ("compute one combinator application from its split "
+               "specification alone", "combinator name", SPEC_NAMES,
+               "combinator", (
+                   ("--pred", {"help": "predicate bitmask"}),
+                   ("--n", {"type": int, "help": "count for take"}),
+                   ("--input", {"action": "append", "default": [], "help":
+                                "comma separated sequence; repeat for zip"})),
+               _run_oracle),
+    "list-targets": ("everything the check commands accept", "ignored", None,
+                     None, (), _list_targets),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``galois`` parser, built once per process and shared by every
+    call: a library caller or a test that runs ``main`` many times pays for
+    it once.  A fresh ``galois`` process calls ``main`` once, so it gains
+    nothing from the cache.  Callers must not modify the returned parser."""
+    parser = argparse.ArgumentParser(
+        prog="galois",
+        description="Exhaustive checking of split specifications and "
+                    "adjoint-pair laws for sequence combinators over small "
+                    "finite universes.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, row in _COMMANDS.items():
+        summary, target_help, targets, _, flags, _ = row
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--target", required=targets is not None,
+                       help=target_help)
+        p.add_argument("--alphabet", type=int, default=2,
+                       help="alphabet size (default 2)")
+        p.add_argument("--max-len", type=int, default=5,
+                       help="maximum sequence length (default 5)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="maximum evaluations before refusing to run")
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility and ignored; scans "
+                            "run sequentially")
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+    return parser
 
 
 def run(args: argparse.Namespace) -> int:
-    command, target, fmt = args.command, args.target, args.format
-    if command == "list-targets":
-        return _list_targets(fmt)
-    u = Universe(args.alphabet, args.max_len)
-    _, _, targets, noun, _ = _COMMANDS[command]
-    _known(noun, target, targets)
-    if command == "oracle":
-        return _run_oracle(args, u)
-
-    # Entry points are looked up when the command runs, so that a caller
-    # that rebinds one of these module globals is honoured.
-    kw = {"budget": args.budget}
-    extra = None
-    if command == "check-order":
-        rep, least = order_laws_report(target, u, **kw)
-        if fmt == "text":
-            shown = render_value(least) if least is not None else "none"
-            extra = [f"least: {shown}"]
-    elif command == "check-spec":
-        rep = check_easy_hard(target, u, pred=_target_pred(args, u),
-                              n=args.n, **kw)
-    elif command == "check-gc":
-        rep = check_canonical_gc(target, u, pred=_target_pred(args, u), **kw)
-    elif command == "check-laws":
-        rep = check_law(target, u, **kw)
-    else:
-        rep = find_non_gc_counterexample(target, u, **kw)
-    return emit_report(command, target, u, rep, fmt, extra)
+    """Run the command's row and print its outcome in the chosen format."""
+    *_, targets, noun, _, runner = _COMMANDS[args.command]
+    u = None
+    if targets is not None:
+        u = Universe(args.alphabet, args.max_len)
+        _known(noun, args.target, targets)
+    status, payload, lines = runner(args, u)
+    print(json.dumps(payload, indent=2) if args.format == "json"
+          else "\n".join(lines))
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

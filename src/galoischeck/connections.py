@@ -433,8 +433,7 @@ def check_gc_instance(gc: CanonicalGC, *, budget: int = DEFAULT_BUDGET,
                       workers: int = 1) -> CheckReport:
     """Check the defining equivalence of one adjunction candidate over the
     full product of its two carriers."""
-    part = _equivalence((), gc)
-    return run_check(f"gc:{gc.name}", part.axes, part.violates, budget=budget)
+    return _run_parts(f"gc:{gc.name}", [_equivalence((), gc)], budget)
 
 
 def _gc_parts(name: str, u: Universe, pred: Pred | None = None) -> list:

@@ -116,9 +116,12 @@ def count_pair_seqs(u: Universe) -> int:
 
 
 def enum_preds(u: Universe) -> Iterator[Pred]:
-    """All predicates over the alphabet in ascending bitmask order."""
-    for mask in range(1 << u.alphabet_size):
-        yield Pred(mask, u.alphabet_size)
+    """All predicates over the alphabet in ascending bitmask order.  More
+    than ``MATERIALIZE_CAP`` are refused before the first is built, since
+    the checks list them all."""
+    k = u.alphabet_size
+    _within_budget("predicate materialization", 1 << k, MATERIALIZE_CAP)
+    return (Pred(mask, k) for mask in range(1 << k))
 
 
 def enum_seq_lists(u: Universe) -> Iterator[SeqList]:

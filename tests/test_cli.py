@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from galoischeck import oracle
+from galoischeck import cli, core, oracle
 from galoischeck.cli import build_parser, main
 from galoischeck.connections import TARGETS
 
@@ -268,6 +268,61 @@ def test_check_laws_refusal_projects_the_whole_law(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: idempotent: projected 372 evaluations exceed "
                    "budget 124\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-spec", "--target", "takeWhile"),
+    ("check-gc", "--target", "takeWhile"),
+    ("check-laws", "--target", "idempotent"),
+])
+def test_more_predicates_than_the_cap_are_refused_before_any_is_used(
+        capsys, monkeypatch, argv):
+    called = []
+
+    def recording(fn):
+        if fn is None:
+            return None
+
+        def recorded(*args):
+            called.append(fn)
+            return fn(*args)
+        return recorded
+    for name, t in list(TARGETS.items()):
+        monkeypatch.setitem(TARGETS, name, replace(
+            t, easy=recording(t.easy), hard=recording(t.hard)))
+    monkeypatch.setattr(core, "MATERIALIZE_CAP", 16)
+    code, out, err = run_cli(capsys, *argv, "--alphabet", "5",
+                             "--max-len", "1")
+    assert (code, out, called) == (2, "", [])
+    assert err == ("error: predicate materialization: projected 32 "
+                   "evaluations exceed budget 16\n")
+
+
+# entry point -> a command that calls it
+ENTRY_POINTS = {
+    "order_laws_report": ("check-order", "--target", "prefix"),
+    "check_easy_hard": ("check-spec", "--target", "take"),
+    "check_canonical_gc": ("check-gc", "--target", "take"),
+    "check_law": ("check-laws", "--target", "idempotent"),
+    "find_non_gc_counterexample": ("find-counterexample", "--target",
+                                   "words-unwords"),
+    "oracle_spec": ("oracle", "--target", "take", "--n", "1",
+                    "--input", "0,1"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_rebound_entry_point_is_called(capsys, monkeypatch, entry):
+    argv = (*ENTRY_POINTS[entry], "--max-len", "3")
+    plain = run_cli(capsys, *argv)
+    real, calls = getattr(cli, entry), []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, entry, recording)
+    assert run_cli(capsys, *argv) == plain
+    assert calls == [argv[2]]
 
 
 @pytest.mark.parametrize("argv", [

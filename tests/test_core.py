@@ -22,6 +22,7 @@ from galoischeck import (
     nat_bound,
     pred_and,
 )
+from galoischeck import core
 
 
 # Closed forms frozen independently: sum of k^n is (k^(L+1)-1)/(k-1), and the
@@ -85,6 +86,18 @@ def test_seq_list_weights_are_bounded_and_ascending():
 def test_pred_enumeration_is_ascending_mask():
     masks = [p.mask for p in enum_preds(Universe(2, 3))]
     assert masks == [0, 1, 2, 3]
+
+
+def test_pred_enumeration_refuses_more_than_the_cap_upfront(monkeypatch):
+    # the refusal comes from the call, before any predicate is built
+    with pytest.raises(UniverseTooLargeError) as exc:
+        enum_preds(Universe(20, 0))
+    assert str(exc.value) == ("predicate materialization: projected 1048576 "
+                              "evaluations exceed budget 1000000")
+    monkeypatch.setattr(core, "MATERIALIZE_CAP", 16)
+    assert len(list(enum_preds(Universe(4, 0)))) == 16
+    with pytest.raises(UniverseTooLargeError, match="projected 32 "):
+        enum_preds(Universe(5, 0))
 
 
 def test_pred_membership_and_call():

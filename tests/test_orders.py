@@ -111,12 +111,20 @@ def test_prefix_concatenation_characterization_exhaustively():
             assert is_prefix(ys, xs) == splits
 
 
-@pytest.mark.parametrize("order", [
+BELOW_ORDERS = [
     ORDERS["prefix"], ORDERS["sublist"], ORDERS["suffix"],
     ORDERS["product"], ORDERS["pair-prefix"], SEQ_PAIR_PREFIX,
     SEQ_LIST_PREFIX,
-])
-@pytest.mark.parametrize("k,L", [(2, 4), (3, 3)])
+]
+
+
+# every order at (2,4) and (3,3); prefix, sublist and suffix also at (2,5)
+# and (3,5), the bounds at which the oracle searches their down-sets
+@pytest.mark.parametrize("order,k,L", [
+    pytest.param(order, k, L, id=f"{k}-{L}-order{i}")
+    for k, L, orders in ((2, 4, BELOW_ORDERS), (3, 3, BELOW_ORDERS),
+                         (2, 5, BELOW_ORDERS[:3]), (3, 5, BELOW_ORDERS[:3]))
+    for i, order in enumerate(orders)])
 def test_below_generators_are_complete_and_sound(order, k, L):
     u = Universe(k, L)
     elems = materialize_carrier(order.carrier, u)
