@@ -25,8 +25,15 @@ that copy, the fixed test subset ``TESTS`` runs against it with ``-x``, and
 the original file is put back.  A mutant is killed when the subset fails or
 runs past ``TIMEOUT`` seconds, and survives when it passes.  One line per
 mutant and the score go to stdout.  The subset must pass on the unmutated
-copy first.  The exit status is 0 when every mutant is killed, 1 when any
-survives and 2 when the subset fails unmutated.
+copy first.
+
+``EQUIVALENT`` lists the mutants argued equivalent to the original, each
+with its argument, and a listed mutant must survive.  What fails the run
+is printed in upper case: an unlisted mutant that survives (``SURVIVED``),
+a listed one that is killed (``KILLED``), and an entry for a function the
+run mutates that matches no generated mutant (``MISSING``), so the list
+follows the code.  The exit status is 0 when nothing fails, 1 when
+anything does and 2 when the subset fails unmutated.
 """
 
 from __future__ import annotations
@@ -45,6 +52,22 @@ TESTS = ("tests/test_connections.py", "tests/test_oracle.py",
          "tests/test_golden_reports.py", "tests/test_law_mutants.py",
          "tests/test_spec_mutants.py", "tests/test_orders.py")
 TIMEOUT = 120.0
+# (FILE:FUNCTION, operator, change as printed) -> why no test can tell the
+# mutant from the original.  An entry covers every mutant it matches.
+EQUIVALENT = {
+    ("src/galoischeck/connections.py:_equivalence", "&/|",
+     "diff & -diff -> (diff | -diff)"):
+        "for diff > 0, diff | -diff == -(diff & -diff), and bit_length "
+        "ignores the sign",
+    ("src/galoischeck/connections.py:_equivalence", "constant -1",
+     "1 -> (0)"):
+        "every set bit of diff sits at a multiple of 8, so the lowest is "
+        "bit 8i and (8i + 1) >> 3 == 8i >> 3 == i",
+    ("src/galoischeck/orders.py:check_order_laws", "index -1",
+     "0 -> (0) - 1"):
+        "bottoms is indexed only when it has one element, so bottoms[-1] "
+        "is bottoms[0]",
+}
 
 _NEGATE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
            ast.LtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
@@ -162,6 +185,13 @@ def main(argv: list[str] | None = None) -> int:
     for target in args.targets:
         file, _, function = target.partition(":")
         plan += [(file, function, m) for m in mutants(ROOT / file, function)]
+    generated = {(f"{file}:{function}", label, change)
+                 for file, function, (_, label, change, _) in plan}
+    missing = [key for key in EQUIVALENT if key[0] in args.targets
+               and key not in generated]
+    for target, label, change in missing:
+        print(f"MISSING  {target} [{label}] {change}: listed as equivalent "
+              "but not generated", flush=True)
 
     base = Path(tempfile.mkdtemp(prefix="mutate-", dir=args.workdir))
     try:
@@ -172,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             print("the test subset fails on the unmutated copy",
                   file=sys.stderr)
             return 2
-        survivors = 0
+        killed_count = equivalent = wrong = 0
         for file, function, (line, label, change, mutated) in plan:
             original = (copy / file).read_bytes()
             (copy / file).write_bytes(mutated)
@@ -180,11 +210,19 @@ def main(argv: list[str] | None = None) -> int:
                 killed = not _passes(copy)
             finally:
                 (copy / file).write_bytes(original)
-            survivors += not killed
-            print(f"{'killed ' if killed else 'SURVIVED'} {file}:{line} "
-                  f"{function} [{label}] {change}", flush=True)
-        print(f"score: {len(plan) - survivors}/{len(plan)} killed")
-        return 1 if survivors else 0
+            argument = EQUIVALENT.get((f"{file}:{function}", label, change))
+            listed = argument is not None
+            killed_count += killed
+            equivalent += listed and not killed
+            wrong += killed == listed
+            status = (("KILLED  " if listed else "killed  ") if killed
+                      else ("survived" if listed else "SURVIVED"))
+            note = f" (listed as equivalent: {argument})" if listed else ""
+            print(f"{status} {file}:{line} {function} [{label}] {change}"
+                  f"{note}", flush=True)
+        print(f"score: {killed_count}/{len(plan)} killed, {equivalent} "
+              "listed as equivalent")
+        return 1 if wrong or missing else 0
     finally:
         shutil.rmtree(base)
 
