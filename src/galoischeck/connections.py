@@ -9,18 +9,16 @@ reported counterexample is always the violation with the smallest flat
 index in the fixed axis order, and on failure ``cases_checked`` is that
 violation's 1-based position.
 
-A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row.
-A row is one int, candidate i's flag at bit 8·i (so each relation must
-return a bool; a row refuses any other result with a ``ValueError``), and a
-row's first mismatch is the lowest set bit of left XOR right.
-It keeps one right-hand row per distinct ``upper(x)`` for that check only,
-which assumes that ``order_b.leq`` sees its second argument only through
-``==``; unhashable images are not memoized.  The left side runs on the
-candidates that meet the easy condition alone.  When ``order_a.leq`` is a
-componentwise order (it carries ``factors``), the check also keeps one left
-row per factor and distinct component of x, ANDed with one ``&``, which
-assumes that each factor sees its side of x only through ``==``;
-unhashable components are not memoized either.
+A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row
+(see ``_equivalence``).  It splits the candidates once, into those that
+meet the easy condition (feasible) and the rest.  A row is one int over one
+of the two, a candidate's flag in one byte, so each relation must return a
+bool (a row refuses any other result with a ``ValueError``).  Both sides
+run on the feasible candidates.  On the rest the left side is false, so
+the first stray there, a true right flag, is kept once per distinct
+``upper(x)`` next to that image's right row.  A componentwise ``order_a``
+(one that carries ``factors``) keeps one left row per factor and distinct
+component of x, ANDed with one ``&``.
 
 Each target is described once, by its ``TARGETS`` row: y solves input x
 when ``easy(y)`` holds and ``lower(y) <= x``, and the greatest solution is
@@ -286,28 +284,24 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     _known("adjoint pair target", name, GC_TARGETS)
     t = TARGETS[name]
     refuse_inapplicable(name, u, pred, n)
-    seqs = materialize_carrier(CarrierKind.SEQ, u)
-
-    def carrier(o: OrderDef) -> list:
-        if o.carrier is CarrierKind.SEQ:
-            return seqs
-        return materialize_carrier(o.carrier, u)
-
     hard, order_a = hard or t.hard, t.order_a or t.order
-    xs = carrier(order_a) if n is None else [(n, x) for x in seqs]
-    ys = carrier(t.order)
+    x_kind = order_a.carrier if n is None else CarrierKind.SEQ
+    carriers = {kind: materialize_carrier(kind, u) for kind in dict.fromkeys(
+        (CarrierKind.SEQ, x_kind, t.order.carrier))}
+    xs = carriers[x_kind] if n is None else [(n, x) for x in carriers[x_kind]]
+    ys = carriers[t.order.carrier]
+    gc = partial(CanonicalGC, name, t.lower, order_a=order_a,
+                 order_b=t.order, x_axis=(t.x_names, xs))
     if t.easy is None:
-        instances = [((), t.upper or (lambda v: hard(*v)), None)]
-    else:
-        instances = [((("p", p),), partial(hard, p), [t.easy(p, y) for y in ys])
-                     for p in ([pred] if pred is not None else enum_preds(u))]
+        return [((), gc(upper=t.upper or (lambda v: hard(*v)),
+                        y_axis=(t.y_names, ys)), None)]
     whole = spec and not t.feasible_only
     parts = []
-    for b, upper, flags in instances:
-        easy_ys = ys if whole or flags is None else list(compress(ys, flags))
-        gc = CanonicalGC(name, t.lower, upper, order_a, t.order,
-                         (t.x_names, xs), (t.y_names, easy_ys))
-        parts.append((b, gc, flags if whole else None))
+    for p in [pred] if pred is not None else enum_preds(u):
+        flags = [t.easy(p, y) for y in ys]
+        y_axis = (t.y_names, ys if whole else list(compress(ys, flags)))
+        parts.append(((("p", p),), gc(upper=partial(hard, p), y_axis=y_axis),
+                      flags if whole else None))
     return parts
 
 
@@ -329,10 +323,10 @@ def _memoized(memo: dict, key, make: Callable):
         return make(key)
 
 
-def _flags_of(leq: Callable, lows: list) -> Callable:
-    """x's flags: ``leq(low, x)`` for every low, one byte each.  A result
-    other than a bool (or 0 or 1) is refused with a ``ValueError`` that
-    names ``leq``, the result and its arguments."""
+def _row_of(leq: Callable, lows: list) -> Callable:
+    """x's row: ``leq(low, x)`` for every low, as an int with low i's flag
+    at bit 8·i.  A result other than a bool (or 0 or 1) is refused with a
+    ``ValueError`` that names ``leq``, the result and its arguments."""
     def checked(low, x):
         flag = leq(low, x)
         if not isinstance(flag, int) or flag not in (0, 1):
@@ -351,14 +345,12 @@ def _flags_of(leq: Callable, lows: list) -> Callable:
         # Some result is not 0 or 1: evaluate again, one checked call per
         # low, to name it.  An error that leq itself raises propagates.
         return bytes(map(checked, lows, repeat(x)))
-    return flags
-
-
-def _row_of(leq: Callable, lows: list) -> Callable:
-    """x's row: ``leq(low, x)`` for every low, as an int with low i's flag
-    at bit 8·i (``leq`` must return a bool; see ``_flags_of``)."""
-    flags = _flags_of(leq, lows)
     return lambda x: int.from_bytes(flags(x), "little")
+
+
+def _lowest(row: int) -> int:
+    """The index of a nonzero row's first true flag, at bit 8·index."""
+    return ((row & -row).bit_length() - 1) >> 3
 
 
 def _left_rows(leq: Callable, lows: list) -> Callable:
@@ -378,17 +370,19 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
                  feasible: list | None = None) -> _Part:
     """The defining equivalence of ``gc`` over the product of its carriers,
     one x against every y per row, with a false left side wherever a
-    ``feasible`` flag is false.  Rows are ints, feasible candidate i's flag
-    at bit 8·i; a row's first mismatch is the lowest set bit of their XOR.
+    ``feasible`` flag is false.  Each check splits the candidates once, into
+    the feasible and the infeasible ones.  Rows are ints over one of the
+    two, candidate i's flag at bit 8·i; a row's first mismatch is the
+    lowest set bit of left XOR right.
 
     The right-hand side depends on x only through ``upper(x)``, so each
-    check keeps one right-hand row per distinct image, filled the first
-    time a row meets it and dropped with the check.  This assumes that
+    check keeps, per distinct image, its right row on the feasible
+    candidates and its first stray: the lowest set bit of a second row, on
+    the infeasible candidates (empty when there are none), where a true
+    right flag meets a false left side.  Both are filled the first time a
+    row meets the image and dropped with the check.  This assumes that
     ``order_b.leq`` sees its second argument only through ``==``; an
-    unhashable image is evaluated afresh on every row.  The left-hand side
-    is evaluated on the feasible candidates alone: elsewhere the case
-    fails exactly when the right flag is true, and each image stores the
-    first such index once, next to its row.
+    unhashable image is evaluated afresh on every row.
 
     When ``order_a.leq`` carries ``factors``, the left side likewise keeps
     one row per factor and distinct component of x, and a case's left row
@@ -399,30 +393,26 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     ys = gc.y_axis[1]
 
     def start():
-        right_of, upper = _flags_of(gc.order_b.leq, ys), gc.upper
         flags = [True] * len(ys) if feasible is None else feasible
-        off = list(map(not_, flags))
-        left_of = _left_rows(gc.order_a.leq,
-                             list(map(gc.lower, compress(ys, flags))))
         at = list(compress(count(), flags))
-        stray_at = list(compress(count(), off))
-        rows: dict = {}
+        stray_at = list(compress(count(), map(not_, flags)))
+        easy_ys = list(compress(ys, flags))
+        right_of = _row_of(gc.order_b.leq, easy_ys)
+        strays_of = _row_of(gc.order_b.leq, [ys[i] for i in stray_at])
+        left_of = _left_rows(gc.order_a.leq, list(map(gc.lower, easy_ys)))
+        upper, rows = gc.upper, {}
 
         def row(image):
-            """The image's right flags on the feasible candidates, and the
-            first infeasible index whose right flag is true, or None."""
-            right = right_of(image)
-            k = bytes(compress(right, off)).find(1)
-            stray = None if k < 0 else stray_at[k]
-            return (int.from_bytes(bytes(compress(right, flags)), "little"),
-                    stray)
+            """The image's right row and its first stray, or None."""
+            right, strays = right_of(image), strays_of(image)
+            return right, stray_at[_lowest(strays)] if strays else None
 
         def first(x):
             right, stray = _memoized(rows, upper(x), row)
             diff = left_of(x) ^ right
             if not diff:
                 return stray
-            j = at[((diff & -diff).bit_length() - 1) >> 3]
+            j = at[_lowest(diff)]
             return j if stray is None else min(j, stray)
         return first
     return _Part(bindings, [gc.x_axis, gc.y_axis], _Rows(start))

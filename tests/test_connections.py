@@ -300,14 +300,16 @@ def test_unhashable_components_keep_the_report():
 
 
 def test_left_side_runs_on_easy_candidates_only(monkeypatch):
-    calls = {"sublist": 0}
-    spec = TARGETS["filter"]
-    monkeypatch.setitem(TARGETS, "filter", dataclasses.replace(
-        spec, order=_counting(spec.order, calls, "sublist")))
-    rep = check_easy_hard("filter", U23)
-    assert rep.ok and rep.cases_checked == 900
-    # 24 easy candidates against 15 inputs, 24 images against 15 candidates
-    assert calls["sublist"] == 720
+    for name, order in (("filter", "sublist"), ("takeWhile", "prefix")):
+        calls = {order: 0}
+        spec = TARGETS[name]
+        monkeypatch.setitem(TARGETS, name, dataclasses.replace(
+            spec, order=_counting(spec.order, calls, order)))
+        rep = check_easy_hard(name, U23)
+        assert rep.ok and rep.cases_checked == 900
+        # 24 easy candidates against 15 inputs, 24 images against 15
+        # candidates
+        assert calls[order] == 720, name
 
 
 @pytest.mark.parametrize("check,name,kw", [

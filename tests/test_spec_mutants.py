@@ -37,6 +37,7 @@ from galoischeck import (
     take_while,
     zip_pair,
 )
+from galoischeck.connections import TARGETS
 from galoischeck.orders import componentwise
 
 NAMES = ("dropWhile", "filter", "take", "takeWhile", "zip")
@@ -437,6 +438,12 @@ STRAYS = {
     "stray-after": (0b01, (0, 0), (1,), (0,)),
     # p keeps 0: the feasible rows agree, the stray (1,) alone differs
     "stray-alone": (0b01, (1,), (1,), (1,)),
+    # p keeps 1: two strays, (0,) and (0, 0), below the wrong output; the
+    # first is the witness, at case 497
+    "two-strays": (0b10, (0, 0), (0, 0), (0,)),
+    # p keeps 1: the stray (1, 1, 0) is infeasible candidate 10, past the
+    # first byte of the strays row; the witness is at case 659
+    "stray-past-a-byte": (0b10, (1, 1, 0), (1, 1, 0), (1, 1, 0)),
 }
 
 
@@ -507,6 +514,29 @@ def test_a_relation_that_does_not_return_a_bool_is_refused(bad, side):
     message = "relation " + BAD_FLAGS[bad, side] + "; it must return a bool"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check_gc_instance(gc)
+
+
+# takeWhile's and filter's specs range over the whole carrier, so the right
+# row also runs on infeasible candidates.  Under the first predicate (it
+# keeps nothing) every candidate but () is infeasible, and the first bad
+# result is on one of them.
+BAD_SPEC_FLAGS = {
+    "takeWhile": (prefix_or_none,
+                  "prefix_or_none returned None for ((0,), ())"),
+    "filter": (lambda a, b: sublist(a, b) or None,
+               "<lambda> returned None for ((0,), ())"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPEC_FLAGS))
+def test_a_non_bool_on_an_infeasible_candidate_is_refused(monkeypatch, name):
+    bad, refusal = BAD_SPEC_FLAGS[name]
+    t = TARGETS[name]
+    monkeypatch.setitem(TARGETS, name, dataclasses.replace(
+        t, order=dataclasses.replace(t.order, leq=bad)))
+    message = "relation " + refusal + "; it must return a bool"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_easy_hard(name, Universe(2, 2))
 
 
 @pytest.mark.parametrize("side", ("order_b", "factor", "plain"))

@@ -55,13 +55,13 @@ TIMEOUT = 120.0
 # (FILE:FUNCTION, operator, change as printed) -> why no test can tell the
 # mutant from the original.  An entry covers every mutant it matches.
 EQUIVALENT = {
-    ("src/galoischeck/connections.py:_equivalence", "&/|",
-     "diff & -diff -> (diff | -diff)"):
-        "for diff > 0, diff | -diff == -(diff & -diff), and bit_length "
+    ("src/galoischeck/connections.py:_lowest", "&/|",
+     "row & -row -> (row | -row)"):
+        "for row > 0, row | -row == -(row & -row), and bit_length "
         "ignores the sign",
-    ("src/galoischeck/connections.py:_equivalence", "constant -1",
+    ("src/galoischeck/connections.py:_lowest", "constant -1",
      "1 -> (0)"):
-        "every set bit of diff sits at a multiple of 8, so the lowest is "
+        "every set bit of a row sits at a multiple of 8, so the lowest is "
         "bit 8i and (8i + 1) >> 3 == 8i >> 3 == i",
     ("src/galoischeck/orders.py:check_order_laws", "index -1",
      "0 -> (0) - 1"):
