@@ -99,11 +99,10 @@ def _parse_pred(text: str | None, u: Universe) -> Pred | None:
     try:
         mask = int(text, 0)
     except ValueError:
-        raise SystemExit(_usage(f"invalid predicate bitmask {text!r}"))
+        raise ValueError(f"invalid predicate bitmask {text!r}")
     if not 0 <= mask < (1 << u.alphabet_size):
-        raise SystemExit(_usage(
-            f"predicate bitmask {text} out of range for alphabet size "
-            f"{u.alphabet_size}"))
+        raise ValueError(f"predicate bitmask {text} out of range for "
+                         f"alphabet size {u.alphabet_size}")
     return Pred(mask, u.alphabet_size)
 
 
@@ -113,9 +112,9 @@ def _target_pred(args, u: Universe) -> Pred | None:
     param = TARGETS[args.target].param
     pred = _parse_pred(args.pred, u)
     if pred is not None and param != "p":
-        raise SystemExit(_usage(f"--pred does not apply to {args.target}"))
+        raise ValueError(f"--pred does not apply to {args.target}")
     if getattr(args, "n", None) is not None and param != "n":
-        raise SystemExit(_usage("--n only applies to take"))
+        raise ValueError("--n only applies to take")
     return pred
 
 
@@ -125,21 +124,14 @@ def _parse_seq(text: str, u: Universe) -> tuple[int, ...]:
     try:
         xs = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise SystemExit(_usage(f"invalid sequence {text!r}"))
+        raise ValueError(f"invalid sequence {text!r}")
     for e in xs:
         if not 0 <= e < u.alphabet_size:
-            raise SystemExit(_usage(
-                f"element {e} out of range for alphabet size "
-                f"{u.alphabet_size}"))
+            raise ValueError(f"element {e} out of range for alphabet size "
+                             f"{u.alphabet_size}")
     if len(xs) > u.max_len:
-        raise SystemExit(_usage(
-            f"sequence {text!r} longer than max_len {u.max_len}"))
+        raise ValueError(f"sequence {text!r} longer than max_len {u.max_len}")
     return xs
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _list_targets(args, u) -> tuple:
@@ -160,13 +152,12 @@ def _run_oracle(args, u: Universe) -> tuple:
     # zip, the one combinator without a parameter, takes two sequences
     want = 1 if param else 2
     if len(seqs) != want:
-        raise SystemExit(_usage(
-            f"{args.target} oracle takes exactly {want} --input"))
+        raise ValueError(f"{args.target} oracle takes exactly {want} --input")
     # the parameter's input, keyed by its flag's name; zip's is ys
     key, value = {None: ("ys", seqs[-1]), "n": ("n", args.n),
                   "p": ("pred", pred)}[param]
     if value is None:
-        raise SystemExit(_usage(f"{args.target} oracle needs --{key}"))
+        raise ValueError(f"{args.target} oracle needs --{key}")
     inputs = {"xs": seqs[0], key: value}
 
     fields = {"inputs": {k: encode_value(v) for k, v in inputs.items()}}
@@ -283,9 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return run(args)
     except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code or 0
     except (UniverseTooLargeError, WitnessNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

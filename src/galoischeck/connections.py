@@ -287,7 +287,7 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     hard, order_a = hard or t.hard, t.order_a or t.order
     x_kind = order_a.carrier if n is None else CarrierKind.SEQ
     carriers = {kind: materialize_carrier(kind, u) for kind in dict.fromkeys(
-        (CarrierKind.SEQ, x_kind, t.order.carrier))}
+        (x_kind, t.order.carrier))}
     xs = carriers[x_kind] if n is None else [(n, x) for x in carriers[x_kind]]
     ys = carriers[t.order.carrier]
     gc = partial(CanonicalGC, name, t.lower, order_a=order_a,

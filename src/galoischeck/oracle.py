@@ -60,17 +60,15 @@ def candidates_below(o: OrderDef, x, u: Universe) -> list:
 
 
 def best_under(o: OrderDef, easy: Callable[[object], bool], says: str, x,
-               u: Universe, candidates: Iterable | None = None):
-    """The greatest element, under o, among candidates below x satisfying
-    the easy condition ``easy``, which ``says`` describes.  ``candidates``
-    is any iterable, walked once in order (by default x's down-set,
-    ``candidates_below``); only the feasible ones are kept.
+               candidates: Iterable):
+    """The greatest element, under o, among the candidates below x that
+    satisfy the easy condition ``easy``, which ``says`` describes.
+    ``candidates`` is any iterable, walked once in order; only the feasible
+    ones are kept.
 
     Raises EmptyCandidatesError when nothing qualifies and NoGreatestError
     when the qualifying set has maximal elements but no single top.
     """
-    if candidates is None:
-        candidates = candidates_below(o, x, u)
     feasible = [c for c in candidates if easy(c)]
     if not feasible:
         raise EmptyCandidatesError(
@@ -129,6 +127,6 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
 
     _within_budget(f"oracle:{name}", carrier_size_upper(t.order.carrier, u),
                    budget)
-    candidates = None if ys is None else enum_pair_seqs(
-        Universe(u.alphabet_size, min(len(xs), len(ys))))
-    return best_under(t.order, solves, says, x, u, candidates=candidates)
+    candidates = candidates_below(t.order, x, u) if ys is None else (
+        enum_pair_seqs(Universe(u.alphabet_size, min(len(xs), len(ys)))))
+    return best_under(t.order, solves, says, x, candidates)

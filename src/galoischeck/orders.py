@@ -117,14 +117,12 @@ def _subsequences(y, u: Universe):
     return sorted(subs, key=lambda t: (len(t), t))
 
 
-def _product_below(v, u: Universe):
-    n, xs = v
-    return [(m, p) for m in range(n + 1) for p in _prefixes(xs, u)]
-
-
-def _seq_pair_below(v, u: Universe):
-    a, b = v
-    return [(x, y) for x in _prefixes(a, u) for y in _prefixes(b, u)]
+def _pairs_below(first: Callable, second: Callable) -> Callable:
+    """A componentwise order's below-generator, from its factors'."""
+    def below(v, u: Universe):
+        a, b = v
+        return [(x, y) for x in first(a, u) for y in second(b, u)]
+    return below
 
 
 @dataclass(frozen=True)
@@ -148,13 +146,14 @@ PREFIX = OrderDef("prefix", is_prefix, CarrierKind.SEQ, _prefixes)
 SUBLIST = OrderDef("sublist", is_sublist, CarrierKind.SEQ, _subsequences)
 SUFFIX = OrderDef("suffix", is_suffix, CarrierKind.SEQ, _suffixes)
 PRODUCT = OrderDef("product", product_order, CarrierKind.NAT_SEQ,
-                   _product_below)
+                   _pairs_below(lambda n, u: range(n + 1), _prefixes))
 PAIR_PREFIX = OrderDef("pair-prefix", is_prefix, CarrierKind.PAIR_SEQ,
                        _prefixes)
 
 # Used by connection checks, not part of the named registry.
 SEQ_PAIR_PREFIX = OrderDef("prefix*prefix", seq_pair_prefix,
-                           CarrierKind.SEQ_PAIR, _seq_pair_below)
+                           CarrierKind.SEQ_PAIR,
+                           _pairs_below(_prefixes, _prefixes))
 SEQ_LIST_PREFIX = OrderDef("list-prefix", is_prefix, CarrierKind.SEQ_LIST,
                            _prefixes)
 

@@ -99,18 +99,27 @@ def test_oracle_zip_two_inputs(capsys):
 
 
 def test_oracle_zip_walks_only_the_shorter_inputs_length(capsys, monkeypatch):
-    # pair sequences of length at most 2 over 36 pairs: 1 + 36 + 1,296
-    walked = 0
+    # pair sequences of length at most 2 over 36 pairs: 1 + 36 + 1,296, as
+    # README states; each is walked once and solved once, by one lower call
+    walked = calls = 0
     enum_pair_seqs = oracle.enum_pair_seqs
+    unzip = TARGETS["zip"].lower
 
     def counted(u):
         nonlocal walked
         for zs in enum_pair_seqs(u):
             walked += 1
             yield zs
+
+    def counting_unzip(zs):
+        nonlocal calls
+        calls += 1
+        return unzip(zs)
     monkeypatch.setattr(oracle, "enum_pair_seqs", counted)
+    monkeypatch.setitem(TARGETS, "zip", replace(TARGETS["zip"],
+                                                lower=counting_unzip))
     assert run_cli(capsys, *ZIP_QUERY)[0] == 0
-    assert 0 < walked <= 1333
+    assert walked == calls == 1333
 
 
 ORACLE_FAILURE = ("oracle", "--target", "filter", "--pred", "0b11",
@@ -154,6 +163,7 @@ USAGE_ERRORS = [
     ("find-counterexample", "--target", "take"),
     ("oracle", "--target", "words-unwords", "--input", "0"),
     ("check-spec", "--target", "takeWhile", "--pred", "0b111"),
+    ("check-spec", "--target", "takeWhile", "--pred", "0b100"),
     ("check-spec", "--target", "takeWhile", "--pred", "junk"),
     ("check-spec", "--target", "zip", "--pred", "0b01"),
     ("check-spec", "--target", "filter", "--n", "2"),

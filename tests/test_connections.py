@@ -344,6 +344,20 @@ def test_a_predicate_over_another_alphabet_is_refused_upfront(monkeypatch,
         call()
 
 
+def test_a_check_builds_only_the_carriers_its_axes_scan(monkeypatch):
+    # zip's axes range over sequence pairs and pair sequences, so no plain
+    # sequence carrier is built
+    asked = []
+    build = connections.materialize_carrier
+
+    def recorded(kind, u):
+        asked.append(kind)
+        return build(kind, u)
+    monkeypatch.setattr(connections, "materialize_carrier", recorded)
+    assert check_easy_hard("zip", Universe(2, 2)).ok
+    assert asked == [CarrierKind.SEQ_PAIR, CarrierKind.PAIR_SEQ]
+
+
 def test_one_row_reaches_every_reader(monkeypatch, capsys):
     all_true = Pred(0b11, 2)
     assert check_canonical_gc("takeWhile", U23).cases_checked == 360

@@ -57,32 +57,33 @@ def test_candidates_below_sublist():
 def test_best_under_picks_greatest_feasible():
     def all_even(c):
         return all_satisfy(EVEN, c)
-    assert best_under(PREFIX, all_even, "every element even",
-                      (2, 4, 5), U6) == (2, 4)
+    assert best_under(PREFIX, all_even, "every element even", (2, 4, 5),
+                      candidates_below(PREFIX, (2, 4, 5), U6)) == (2, 4)
 
     def all_odd(c):
         return all_satisfy(ODD, c)
-    assert best_under(SUBLIST, all_odd, "every element odd",
-                      (2, 4, 5), U6) == (5,)
+    assert best_under(SUBLIST, all_odd, "every element odd", (2, 4, 5),
+                      candidates_below(SUBLIST, (2, 4, 5), U6)) == (5,)
 
-    assert best_under(PREFIX, all_even, "every element even", (), U6) == ()
+    assert best_under(PREFIX, all_even, "every element even", (),
+                      candidates_below(PREFIX, (), U6)) == ()
 
 
 def test_best_under_empty_feasible_set():
     with pytest.raises(EmptyCandidatesError, match="nothing qualifies"):
-        best_under(PREFIX, lambda c: False, "nothing qualifies",
-                   (2, 4, 5), U6)
+        best_under(PREFIX, lambda c: False, "nothing qualifies", (2, 4, 5),
+                   candidates_below(PREFIX, (2, 4, 5), U6))
 
 
 def test_best_under_reports_incomparable_maxima():
     with pytest.raises(NoGreatestError, match="exactly one element") as info:
         best_under(SUBLIST, lambda c: len(c) == 1, "exactly one element",
-                   (2, 4), U6)
+                   (2, 4), candidates_below(SUBLIST, (2, 4), U6))
     # maxima come in carrier order: shortest first, lexicographic within
     assert info.value.maxima == ((2,), (4,))
     with pytest.raises(NoGreatestError) as info:
         best_under(SUBLIST, lambda c: len(set(c)) <= 1, "one symbol",
-                   (0, 1, 0), U6)
+                   (0, 1, 0), candidates_below(SUBLIST, (0, 1, 0), U6))
     assert info.value.maxima == ((1,), (0, 0))
 
 
