@@ -21,9 +21,11 @@ import sys
 
 from . import __version__ as TOOL_VERSION
 from .connections import (
+    COUNT,
     GC_TARGETS,
     LAW_NAMES,
     PAIR_NAMES,
+    PRED,
     SPEC_NAMES,
     TARGETS,
     WitnessNotFoundError,
@@ -107,13 +109,12 @@ def _parse_pred(text: str | None, u: Universe) -> Pred | None:
 
 
 def _target_pred(args, u: Universe) -> Pred | None:
-    """Parse --pred, and refuse --pred or --n where the target's parameter
-    axis is not a predicate or a count."""
+    """Parse --pred; refuse --pred or --n for a target of another kind."""
     param = TARGETS[args.target].param
     pred = _parse_pred(args.pred, u)
-    if pred is not None and param != "p":
+    if pred is not None and param is not PRED:
         raise ValueError(f"--pred does not apply to {args.target}")
-    if getattr(args, "n", None) is not None and param != "n":
+    if getattr(args, "n", None) is not None and param is not COUNT:
         raise ValueError("--n only applies to take")
     return pred
 
@@ -146,19 +147,16 @@ def _list_targets(args, u) -> tuple:
 
 
 def _run_oracle(args, u: Universe) -> tuple:
-    pred = _target_pred(args, u)
-    param = TARGETS[args.target].param
+    flags = {"pred": _target_pred(args, u), "n": args.n}
+    key = TARGETS[args.target].param.key
     seqs = [_parse_seq(text, u) for text in args.input]
-    # zip, the one combinator without a parameter, takes two sequences
-    want = 1 if param else 2
+    # a parameter without a flag of its own (zip's ys) is a second --input
+    want = 1 + (key not in flags)
     if len(seqs) != want:
         raise ValueError(f"{args.target} oracle takes exactly {want} --input")
-    # the parameter's input, keyed by its flag's name; zip's is ys
-    key, value = {None: ("ys", seqs[-1]), "n": ("n", args.n),
-                  "p": ("pred", pred)}[param]
-    if value is None:
+    inputs = {"xs": seqs[0], key: flags.get(key, seqs[-1])}
+    if inputs[key] is None:
         raise ValueError(f"{args.target} oracle needs --{key}")
-    inputs = {"xs": seqs[0], key: value}
 
     fields = {"inputs": {k: encode_value(v) for k, v in inputs.items()}}
     lines = [f"target: {args.target}"]

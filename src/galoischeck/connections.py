@@ -9,25 +9,13 @@ reported counterexample is always the violation with the smallest flat
 index in the fixed axis order, and on failure ``cases_checked`` is that
 violation's 1-based position.
 
-A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row
-(see ``_equivalence``).  It splits the candidates once, into those that
-meet the easy condition (feasible) and the rest.  A row is one int over one
-of the two, a candidate's flag in one byte, so each relation must return a
-bool (a row refuses any other result with a ``ValueError``).  Both sides
-run on the feasible candidates.  On the rest the left side is false, so
-the first stray there, a true right flag, is kept once per distinct
-``upper(x)`` next to that image's right row.  A componentwise ``order_a``
-(one that carries ``factors``) keeps one left row per factor and distinct
-component of x, ANDed with one ``&``.
+A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row,
+each side one int of one-byte flags (see ``_equivalence``).
 
-Each target is described once, by its ``TARGETS`` row: y solves input x
-when ``easy(y)`` holds and ``lower(y) <= x``, and the greatest solution is
-``upper(x)``.  The spec, gc, oracle and law checks and the CLI all read
-that one row.
-
-Each law lists its parts (bindings, axes, per-case condition, evaluations
-per case); one driver budgets them all before the first one runs, scans
-them in order and merges their reports once.
+Each target is described once, by its ``TARGETS`` row (see ``Target``),
+and each kind of parameter by one ``Param`` record.  The spec, gc, oracle
+and law checks and the CLI all read them.  Each law lists its parts, which
+``_run_parts`` budgets together and then runs in order.
 """
 
 from __future__ import annotations
@@ -88,22 +76,44 @@ def _identity(y):
     return y
 
 
+class Param(NamedTuple):
+    """A kind of parameter, read by the refusals, the oracle and the CLI."""
+    key: str  # its one word: library keyword, oracle input and CLI flag
+    noun: str  # what a refusal calls it
+    check: Callable | None = None  # check(value, u) refuses a misfit
+    show: Callable = str  # a value as a row's ``says`` renders it
+
+
+def _check_pred(p: Pred, u: Universe) -> None:
+    if p.alphabet_size != u.alphabet_size:
+        raise ValueError(f"predicate over alphabet {p.alphabet_size} does "
+                         f"not match universe alphabet {u.alphabet_size}")
+
+
+def _check_count(n: int, u: Universe) -> None:
+    if n < 0:
+        raise ValueError("take count must be non-negative")
+
+
+PRED = Param("pred", "predicate", _check_pred, Pred.bits)
+COUNT = Param("n", "count", _check_count)
+SECOND_SEQ = Param("ys", "second sequence")
+
+
 @dataclass(frozen=True)
 class Target:
     """One target: y solves input x when ``easy(param, y)`` holds (None:
     always) and ``lower(y) <= x`` under ``order_a`` (None: ``order``), and
-    ``upper(x)`` is the greatest solution under ``order``.  A combinator has
-    a parameter axis ``param`` ("p" a predicate, "n" a count, or None), its
-    ``hard`` function, which applied to the predicate or to the unpacked x
-    is the upper map, and ``says``, the condition as the oracle's errors
-    describe it.  Its spec ranges the candidate over the whole carrier, or
-    over the easy set alone with ``feasible_only`` (when that set is not
-    downward closed).  A splitter/joiner pair has no ``hard``: ``lower``
-    joins, ``upper`` splits.  ``x_names`` and ``y_names`` name the
-    witnesses."""
+    ``upper(x)`` is the greatest solution under ``order``.  A combinator
+    names its ``param`` kind and its ``hard`` function, the upper map once
+    given the parameter or the unpacked x; ``says`` is its condition in the
+    oracle's errors, and ``feasible_only`` ranges its spec's candidate over
+    the easy set alone (one that is not downward closed).  A splitter/joiner
+    pair has neither: ``lower`` joins, ``upper`` splits.  ``x_names`` and
+    ``y_names`` name the witnesses."""
 
     name: str
-    param: str | None
+    param: Param | None
     order: OrderDef
     hard: Callable | None
     x_names: tuple[str, ...]
@@ -117,20 +127,20 @@ class Target:
 
 
 TARGETS = {t.name: t for t in (
-    Target("dropWhile", "p", SUFFIX, drop_while, ("l",), ("z",), head_fails,
+    Target("dropWhile", PRED, SUFFIX, drop_while, ("l",), ("z",), head_fails,
            "empty or head falsifies {}", feasible_only=True),
-    Target("filter", "p", SUBLIST, filter_p, ("xs",), ("ys",), all_satisfy,
+    Target("filter", PRED, SUBLIST, filter_p, ("xs",), ("ys",), all_satisfy,
            "all elements satisfy {}"),
     Target("lines-unlines", None, SEQ_LIST_PREFIX, None, ("xs",), ("ws",),
            lower=unlines_join, upper=lines_split, order_a=PREFIX),
-    Target("take", "n", PREFIX, take_n, ("n", "xs"), ("ys",),
+    Target("take", COUNT, PREFIX, take_n, ("n", "xs"), ("ys",),
            says="length at most {}", lower=lambda ys: (len(ys), ys),
            order_a=PRODUCT),
-    Target("takeWhile", "p", PREFIX, take_while, ("xs",), ("ys",),
+    Target("takeWhile", PRED, PREFIX, take_while, ("xs",), ("ys",),
            all_satisfy, "all elements satisfy {}"),
     Target("words-unwords", None, SEQ_LIST_PREFIX, None, ("xs",), ("ws",),
            lower=unwords_join, upper=words_split, order_a=PREFIX),
-    Target("zip", None, PAIR_PREFIX, zip_pair, ("xs", "ys"), ("zs",),
+    Target("zip", SECOND_SEQ, PAIR_PREFIX, zip_pair, ("xs", "ys"), ("zs",),
            says="both projections are prefixes of the inputs",
            lower=unzip_pair, order_a=SEQ_PAIR_PREFIX),
 )}
@@ -233,22 +243,13 @@ def _run_parts(law: str, parts: list[_Part], budget: int) -> CheckReport:
 
 def refuse_inapplicable(name: str, u: Universe, pred: Pred | None = None,
                         n: int | None = None, ys: tuple | None = None) -> None:
-    """Refuse an input that does not apply to target ``name``: ``pred``
-    unless its parameter axis is a predicate, ``pred`` over another
-    alphabet than ``u``'s, ``n`` unless the axis is a count, a negative
-    count, and ``ys`` unless the target has no parameter (zip)."""
-    t = TARGETS[name]
-    if pred is not None and t.param != "p":
-        raise ValueError(f"a predicate does not apply to {name!r}")
-    if pred is not None and pred.alphabet_size != u.alphabet_size:
-        raise ValueError(f"predicate over alphabet {pred.alphabet_size} does "
-                         f"not match universe alphabet {u.alphabet_size}")
-    if n is not None and t.param != "n":
-        raise ValueError(f"a count does not apply to {name!r}")
-    if n is not None and n < 0:
-        raise ValueError("take count must be non-negative")
-    if ys is not None and t.param is not None:
-        raise ValueError(f"a second sequence does not apply to {name!r}")
+    """Refuse a value of another kind than ``name``'s ``param``, or one its
+    kind's ``check`` refuses: kind by kind, applicability first."""
+    for kind, value in ((PRED, pred), (COUNT, n), (SECOND_SEQ, ys)):
+        if value is not None and kind is not TARGETS[name].param:
+            raise ValueError(f"a {kind.noun} does not apply to {name!r}")
+        if value is not None and kind.check:
+            kind.check(value, u)
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +553,9 @@ def check_injective_adjoint(name: str, u: Universe, *,
 
 def _idempotent_parts(name: str, u: Universe) -> list:
     _known("combinator", name, SPEC_NAMES)
-    t = TARGETS[name]
-    if t.param != "p":
+    if TARGETS[name].param is not PRED:
         raise ValueError(f"idempotency does not apply to {name!r}")
-    fn = t.hard
+    fn = TARGETS[name].hard
     seqs = materialize_carrier(CarrierKind.SEQ, u)
 
     def violates(p, xs):
@@ -631,14 +631,17 @@ def find_non_gc_counterexample(name: str, u: Universe, *,
     law = f"non-gc:{name}"
     _within_budget(law, count_seq_lists(u), budget)
     lists = materialize_carrier(CarrierKind.SEQ_LIST, u)
-    for i, ws in enumerate(lists):
-        joined = join(ws)
-        resplit = split(joined)
-        rejoined = join(resplit)
-        if rejoined != joined:
-            cx = (("ws", ws), ("joined", joined), ("resplit", resplit),
-                  ("rejoined", rejoined))
-            return CheckReport(law, "fail", i + 1, cx)
+
+    def witness(rep):
+        [(_, ws)] = rep.counterexample
+        resplit = split(join(ws))
+        return replace(rep, counterexample=(
+            ("ws", ws), ("joined", join(ws)), ("resplit", resplit),
+            ("rejoined", join(resplit))))
+    rep = _run_parts(law, [_Part((), [(("ws",), lists)], partial(
+        _round_trip_moves, join, split), hit=witness)], budget)
+    if not rep.ok:
+        return rep
     raise WitnessNotFoundError(
         f"{name}: join.split.join = join holds for all {len(lists)} word "
         f"lists at alphabet={u.alphabet_size} max_len={u.max_len}")
@@ -679,7 +682,7 @@ _LAWS = {
     "semi-inverse": _across("connection", SPEC_NAMES, _semi_inverse_parts),
     "injective-adjoint": _across("connection", SPEC_NAMES, _injective_parts),
     "idempotent": _across("combinator", [
-        s for s in SPEC_NAMES if TARGETS[s].param == "p"], _idempotent_parts),
+        s for s in SPEC_NAMES if TARGETS[s].param is PRED], _idempotent_parts),
     "fusion": _fusion_parts,
     "split-append": _split_append_parts,
     "indirect-equality": _across("order", ("prefix", "sublist"),

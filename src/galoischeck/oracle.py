@@ -94,22 +94,20 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
                 ys: Seq | None = None, budget: int = DEFAULT_BUDGET):
     """Compute a combinator's output purely from its split specification.
 
-    name selects the combinator; the keyword arguments supply its inputs
-    (xs always; pred for the predicate family, n for take, ys for zip).
-    An input sequence outside the universe ``u`` is refused.  The search
-    walks x's down-set under the order (``candidates_below``), which trusts
-    the order's ``below`` generator to be complete; zip walks, in carrier
+    name selects the combinator; the keyword arguments supply its inputs:
+    xs, and the one its row's ``param`` names (pred, n or ys).  An input
+    sequence outside the universe ``u`` is refused.  The search walks x's
+    down-set under the order (``candidates_below``), which trusts the
+    order's ``below`` generator to be complete; zip walks, in carrier
     order, only the pair sequences no longer than the shorter input.  The
     budget still counts the order's whole carrier: the query refuses
     upfront when that carrier holds more than ``budget`` elements.
     """
     _known("combinator", name, SPEC_NAMES)
     t = TARGETS[name]
-    # The second input is the parameter, or for zip the second sequence.
-    arg_name, arg = {"p": ("pred", pred), "n": ("n", n)}.get(
-        t.param, ("ys", ys))
+    arg = {"pred": pred, "n": n, "ys": ys}[t.param.key]
     if xs is None or arg is None:
-        raise ValueError(f"{name} oracle needs xs and {arg_name}")
+        raise ValueError(f"{name} oracle needs xs and {t.param.key}")
     refuse_inapplicable(name, u, pred, n, ys)
     for label, seq in (("xs", xs), ("ys", ys)):
         if seq is not None and (len(seq) > u.max_len or not all(
@@ -119,7 +117,7 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
     x = xs if ys is None else (xs, ys)
     # x as order_a sees it: (n, xs) for take
     x_a = x if n is None else (n, xs)
-    says = t.says.format(arg.bits() if t.param == "p" else arg)
+    says = t.says.format(t.param.show(arg))
     easy, lower, leq = t.easy, t.lower, (t.order_a or t.order).leq
 
     def solves(y):

@@ -178,6 +178,13 @@ USAGE_ERRORS = [
     ("oracle", "--target", "zip", "--n", "1",
      "--input", "0", "--input", "1"),
     ("oracle", "--target", "filter", "--pred", "0b01", "--input", "0,x"),
+    ("check-spec", "--target", "take", "--pred", "0b01"),
+    ("check-spec", "--target", "zip", "--n", "1"),
+    ("check-gc", "--target", "words-unwords", "--pred", "0b01"),
+    ("oracle", "--target", "takeWhile", "--pred", "0b01", "--n", "1",
+     "--input", "0"),
+    ("oracle", "--target", "filter", "--pred", "0b01",
+     "--input", "0", "--input", "1"),
 ]
 
 

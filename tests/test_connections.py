@@ -4,6 +4,7 @@ candidates and their consequences, refutation search, and the law battery."""
 import dataclasses
 import itertools
 import random
+import re
 from functools import partial
 
 import pytest
@@ -312,15 +313,24 @@ def test_left_side_runs_on_easy_candidates_only(monkeypatch):
         assert calls[order] == 720, name
 
 
-@pytest.mark.parametrize("check,name,kw", [
-    (check_easy_hard, "filter", {"n": 3}),
-    (check_easy_hard, "zip", {"n": 1}),
-    (check_easy_hard, "take", {"pred": Pred(1, 2)}),
-    (check_easy_hard, "zip", {"pred": Pred(1, 2)}),
-    (check_canonical_gc, "words-unwords", {"pred": Pred(1, 2)}),
-])
-def test_parameters_that_do_not_apply_are_refused(check, name, kw):
-    with pytest.raises(ValueError, match="does not apply to"):
+INAPPLICABLE = [
+    (check_easy_hard, "filter", {"n": 3},
+     "a count does not apply to 'filter'"),
+    (check_easy_hard, "zip", {"n": 1}, "a count does not apply to 'zip'"),
+    (check_easy_hard, "take", {"pred": Pred(1, 2)},
+     "a predicate does not apply to 'take'"),
+    (check_easy_hard, "zip", {"pred": Pred(1, 2)},
+     "a predicate does not apply to 'zip'"),
+    (check_canonical_gc, "words-unwords", {"pred": Pred(1, 2)},
+     "a predicate does not apply to 'words-unwords'"),
+]
+
+
+@pytest.mark.parametrize("check,name,kw,message", INAPPLICABLE, ids=[
+    f"{check.__name__}-{name}-kw{i}"
+    for i, (check, name, *_) in enumerate(INAPPLICABLE)])
+def test_parameters_that_do_not_apply_are_refused(check, name, kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check(name, Universe(2, 2), **kw)
 
 
@@ -328,19 +338,28 @@ def _no_carrier(*args):
     raise AssertionError("a carrier was built before the refusal")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: check_easy_hard("filter", Universe(3, 2), pred=Pred(1, 2)),
-    lambda: check_easy_hard("filter", Universe(2, 3), pred=Pred(1, 3)),
-    lambda: check_canonical_gc("takeWhile", Universe(2, 3), pred=Pred(1, 3)),
-    lambda: build_gcs("dropWhile", Universe(3, 2), Pred(1, 2)),
-    lambda: oracle_spec("filter", Universe(2, 3), xs=(0, 1), pred=Pred(1, 3)),
-], ids=["spec-narrower", "spec-wider", "gc", "build-gcs", "oracle"])
-def test_a_predicate_over_another_alphabet_is_refused_upfront(monkeypatch,
-                                                              call):
+# (call, the predicate's alphabet, the universe's alphabet); the last call
+# also gives a count that does not apply, and the predicate is named first
+@pytest.mark.parametrize("call,pred_k,u_k", [
+    (lambda: check_easy_hard("filter", Universe(3, 2), pred=Pred(1, 2)),
+     2, 3),
+    (lambda: check_easy_hard("filter", Universe(2, 3), pred=Pred(1, 3)),
+     3, 2),
+    (lambda: check_canonical_gc("takeWhile", Universe(2, 3),
+                                pred=Pred(1, 3)), 3, 2),
+    (lambda: build_gcs("dropWhile", Universe(3, 2), Pred(1, 2)), 2, 3),
+    (lambda: oracle_spec("filter", Universe(2, 3), xs=(0, 1),
+                         pred=Pred(1, 3)), 3, 2),
+    (lambda: check_easy_hard("filter", Universe(2, 3), pred=Pred(1, 3), n=2),
+     3, 2),
+], ids=["spec-narrower", "spec-wider", "gc", "build-gcs", "oracle",
+        "spec-and-count"])
+def test_a_predicate_over_another_alphabet_is_refused_upfront(
+        monkeypatch, call, pred_k, u_k):
     monkeypatch.setattr(connections, "materialize_carrier", _no_carrier)
     monkeypatch.setattr(oracle, "enumerate_carrier", _no_carrier)
-    with pytest.raises(ValueError, match="predicate over alphabet . does not "
-                       "match universe alphabet ."):
+    with pytest.raises(ValueError, match=f"^predicate over alphabet {pred_k} "
+                       f"does not match universe alphabet {u_k}$"):
         call()
 
 

@@ -27,7 +27,7 @@ from galoischeck import (
     take_while,
     zip_pair,
 )
-from galoischeck.connections import SPEC_NAMES, TARGETS
+from galoischeck.connections import COUNT, SPEC_NAMES, TARGETS
 from galoischeck.core import enum_pair_seqs, enumerate_carrier
 from galoischeck.orders import PREFIX, SUBLIST
 
@@ -96,25 +96,37 @@ def test_oracle_spec_examples():
 
 
 def test_oracle_spec_argument_validation():
-    with pytest.raises(ValueError):
-        oracle_spec("takeWhile", U6, xs=(2,))
-    with pytest.raises(ValueError):
-        oracle_spec("take", U6, xs=(2,))
-    with pytest.raises(ValueError):
-        oracle_spec("zip", U6, xs=(2,))
-    with pytest.raises(ValueError):
-        oracle_spec("reverse", U6, xs=(2,))
+    for name, kw, message in (
+            ("takeWhile", {}, "takeWhile oracle needs xs and pred"),
+            ("filter", {}, "filter oracle needs xs and pred"),
+            ("take", {}, "take oracle needs xs and n"),
+            ("zip", {}, "zip oracle needs xs and ys"),
+            ("filter", {"xs": None, "pred": EVEN},
+             "filter oracle needs xs and pred"),
+            ("reverse", {}, "unknown combinator 'reverse'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oracle_spec(name, U6, **{"xs": (2,), **kw})
 
 
-@pytest.mark.parametrize("name,kw", [
-    ("zip", {"ys": (1,), "n": 1}),
-    ("filter", {"pred": Pred(1, 2), "n": -3, "ys": (1,)}),
-    ("filter", {"pred": Pred(1, 2), "ys": (1,)}),
-    ("take", {"n": 1, "pred": Pred(1, 2)}),
-    ("zip", {"ys": (1,), "pred": Pred(1, 2)}),
-])
-def test_oracle_refuses_parameters_that_do_not_apply(name, kw):
-    with pytest.raises(ValueError, match="does not apply to"):
+ORACLE_INAPPLICABLE = [
+    ("zip", {"ys": (1,), "n": 1}, "a count does not apply to 'zip'"),
+    ("filter", {"pred": Pred(1, 2), "n": -3, "ys": (1,)},
+     "a count does not apply to 'filter'"),
+    ("filter", {"pred": Pred(1, 2), "ys": (1,)},
+     "a second sequence does not apply to 'filter'"),
+    ("take", {"n": 1, "pred": Pred(1, 2)},
+     "a predicate does not apply to 'take'"),
+    ("zip", {"ys": (1,), "pred": Pred(1, 2)},
+     "a predicate does not apply to 'zip'"),
+    ("take", {"n": 1, "ys": (1,)},
+     "a second sequence does not apply to 'take'"),
+]
+
+
+@pytest.mark.parametrize("name,kw,message", ORACLE_INAPPLICABLE, ids=[
+    f"{name}-kw{i}" for i, (name, *_) in enumerate(ORACLE_INAPPLICABLE)])
+def test_oracle_refuses_parameters_that_do_not_apply(name, kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         oracle_spec(name, Universe(2, 5), xs=(0, 1), **kw)
 
 
@@ -132,7 +144,8 @@ def test_oracle_refuses_inputs_outside_its_universe(name, kw, bad):
 
 
 def test_oracle_refuses_an_inapplicable_parameter_before_the_input():
-    with pytest.raises(ValueError, match="does not apply to"):
+    with pytest.raises(ValueError,
+                       match="^a predicate does not apply to 'take'$"):
         oracle_spec("take", Universe(2, 3), xs=(5,), n=1, pred=Pred(1, 2))
 
 
@@ -217,8 +230,8 @@ def whole_carrier_oracle(name, u, xs, arg):
     t = TARGETS[name]
     ys = arg if name == "zip" else None
     x = xs if ys is None else (xs, ys)
-    x_a = (arg, xs) if t.param == "n" else x
-    says = t.says.format(arg.bits() if t.param == "p" else arg)
+    x_a = (arg, xs) if t.param is COUNT else x
+    says = t.says.format(t.param.show(arg))
     leq_a = (t.order_a or t.order).leq
     if ys is None:
         members = set(t.order.below(x, u))
@@ -254,7 +267,7 @@ def oracle_inputs(name, u):
     seqs = list(enum_seqs(u))
     if name == "zip":
         return [(xs, "ys", ys) for xs in seqs for ys in seqs]
-    if TARGETS[name].param == "n":
+    if TARGETS[name].param is COUNT:
         return [(xs, "n", n) for n in range(u.max_len + 2) for xs in seqs]
     return [(xs, "pred", p) for p in enum_preds(u) for xs in seqs]
 
