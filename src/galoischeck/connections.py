@@ -385,11 +385,16 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     ``order_b.leq`` sees its second argument only through ``==``; an
     unhashable image is evaluated afresh on every row.
 
-    When ``order_a.leq`` carries ``factors``, the left side likewise keeps
-    one row per factor and distinct component of x, and a case's left row
-    is one ``&`` of its components' rows.  This assumes that each factor sees
-    its side of x only through ``==``; an unhashable component is evaluated
-    afresh.  Any other relation runs once per feasible case.
+    When ``lower`` is the identity and both sides share one relation (as
+    for takeWhile, filter and dropWhile), x's left row is the right row of
+    the point x itself.  The two sides then read one memo of right rows,
+    keyed by point, so each (candidate, point) pair is evaluated once per
+    check, whichever side asks first.  Otherwise, when ``order_a.leq``
+    carries ``factors``, the left side likewise keeps one row per factor
+    and distinct component of x, and a case's left row is one ``&`` of its
+    components' rows.  This assumes that each factor sees its side of x
+    only through ``==``; an unhashable component is evaluated afresh.  Any
+    other relation runs once per feasible case.
     """
     ys = gc.y_axis[1]
 
@@ -400,7 +405,12 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
         easy_ys = list(compress(ys, flags))
         right_of = _row_of(gc.order_b.leq, easy_ys)
         strays_of = _row_of(gc.order_b.leq, [ys[i] for i in stray_at])
-        left_of = _left_rows(gc.order_a.leq, list(map(gc.lower, easy_ys)))
+        if gc.lower is _identity and gc.order_a.leq is gc.order_b.leq:
+            # x's left row is the right row of the point x itself
+            right_of = left_of = partial(_memoized, {}, make=right_of)
+        else:
+            left_of = _left_rows(gc.order_a.leq,
+                                 list(map(gc.lower, easy_ys)))
         upper, rows = gc.upper, {}
 
         def row(image):

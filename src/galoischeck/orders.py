@@ -3,11 +3,11 @@ partial-order law checker.
 
 The relations are written by unfolding the defining clauses step by step; the
 closed-form characterizations (slice equality, index selection) live in the
-test suite as independent cross-checks.  ``is_prefix`` and ``is_sublist``
-decide one clause before any other: a longer sequence is never below a
-shorter one, read off the two lengths.  Only then do they peel heads, so a
-pair whose first sequence is the longer is refused without a loop.
-``is_suffix`` keeps its clauses in their defining order.
+test suite as independent cross-checks.  ``is_prefix``, ``is_sublist`` and
+``is_suffix`` decide one clause before any other: a longer sequence is never
+below a shorter one, read off the two lengths.  Only then do they peel
+heads, so a pair whose first sequence is the longer is refused without a
+loop.
 """
 
 from __future__ import annotations
@@ -67,13 +67,18 @@ def is_sublist(ys: Seq, xs: Seq) -> bool:
 
 
 def is_suffix(s: Seq, l: Seq) -> bool:
-    """s ends l: either s is l itself, or s is a suffix of l's tail."""
-    while True:
-        if s == l:
-            return True
-        if not l:
-            return False
+    """s ends l.
+
+    A longer sequence never ends a shorter one.  Otherwise s ends l when s
+    is l itself or ends l's tail, and only the tail as long as s can be s:
+    the loop peels one head off l for each element l has beyond s.
+    """
+    n = len(s)
+    if n > len(l):
+        return False
+    for _ in range(len(l) - n):
         l = l[1:]
+    return s == l
 
 
 def componentwise(first: Callable, second: Callable, *,
@@ -100,6 +105,10 @@ seq_pair_prefix = componentwise(is_prefix, is_prefix, name="seq_pair_prefix")
 # prefix orders are is_prefix itself; the names stay as public aliases.
 pair_prefix = is_prefix
 seq_list_prefix = is_prefix
+
+
+def _counts(n: int, u: Universe):
+    return range(n + 1)
 
 
 def _prefixes(y, u: Universe):
@@ -146,7 +155,7 @@ PREFIX = OrderDef("prefix", is_prefix, CarrierKind.SEQ, _prefixes)
 SUBLIST = OrderDef("sublist", is_sublist, CarrierKind.SEQ, _subsequences)
 SUFFIX = OrderDef("suffix", is_suffix, CarrierKind.SEQ, _suffixes)
 PRODUCT = OrderDef("product", product_order, CarrierKind.NAT_SEQ,
-                   _pairs_below(lambda n, u: range(n + 1), _prefixes))
+                   _pairs_below(_counts, _prefixes))
 PAIR_PREFIX = OrderDef("pair-prefix", is_prefix, CarrierKind.PAIR_SEQ,
                        _prefixes)
 

@@ -1,6 +1,7 @@
 """The exhaustive checking engine: split specifications, adjunction
 candidates and their consequences, refutation search, and the law battery."""
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -308,9 +309,29 @@ def test_left_side_runs_on_easy_candidates_only(monkeypatch):
             spec, order=_counting(spec.order, calls, order)))
         rep = check_easy_hard(name, U23)
         assert rep.ok and rep.cases_checked == 900
-        # 24 easy candidates against 15 inputs, 24 images against 15
-        # candidates
-        assert calls[order] == 720, name
+        # x's left row is the right row of the point x, on the easy
+        # candidates: 24 of them over the four predicates, against all 15
+        # points (360).  Only the 36 infeasible ones meet the images
+        # apart, 14 x 1 + 11 x 4 + 11 x 4 + 0 x 15 (102).
+        assert calls[order] == 462, name
+
+
+@pytest.mark.parametrize("check", [check_easy_hard, check_canonical_gc])
+@pytest.mark.parametrize("name", ["takeWhile", "filter", "dropWhile"])
+def test_no_candidate_meets_a_point_twice(monkeypatch, check, name):
+    # lower is the identity and both sides share one order, so the left
+    # and right rows of a point are one row, evaluated once per check
+    spec = TARGETS[name]
+    for mask in range(4):
+        seen = collections.Counter()
+
+        def leq(a, b, seen=seen):
+            seen[a, b] += 1
+            return spec.order.leq(a, b)
+        monkeypatch.setitem(TARGETS, name, dataclasses.replace(
+            spec, order=dataclasses.replace(spec.order, leq=leq)))
+        assert check(name, U23, pred=Pred(mask, 2)).ok
+        assert max(seen.values()) == 1, (mask, seen.most_common(1))
 
 
 INAPPLICABLE = [

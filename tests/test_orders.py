@@ -77,6 +77,15 @@ def test_prefix_and_sublist_match_closed_forms_on_every_pair():
             assert is_sublist(a, b) == sublist, (a, b)
 
 
+def test_suffix_matches_its_closed_form_on_every_pair():
+    """The same pairs for ``is_suffix``.  A list never equals a tuple, so a
+    mixed pair is unrelated, under the closed form as under the clauses."""
+    seqs = list(enum_seqs(Universe(3, 4)))
+    for s, l in product(seqs, repeat=2):
+        for a, b in ((s, l), (list(s), l), (s, list(l)), (list(s), list(l))):
+            assert is_suffix(a, b) == tail_suffix(a, b), (a, b)
+
+
 def test_frozen_relation_examples():
     assert is_prefix((), (5, 1))
     assert is_prefix((2, 4), (2, 4, 5))
