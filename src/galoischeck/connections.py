@@ -21,10 +21,10 @@ and law checks and the CLI all read them.  Each law lists its parts, which
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import partial
 from itertools import compress, count, product, repeat
 from math import prod
-from operator import and_, not_
+from operator import not_
 from typing import Callable, NamedTuple, Sequence
 
 from .combinators import (
@@ -313,21 +313,19 @@ def build_gcs(name: str, u: Universe,
     return [(bindings, gc) for bindings, gc, _ in _parts(name, u, pred)]
 
 
-def _memoized(memo: dict, key, make: Callable):
-    """``make(key)``, kept in ``memo`` when ``key`` is hashable."""
-    try:
-        return memo[key]
-    except KeyError:
-        value = memo[key] = make(key)
-        return value
-    except TypeError:
-        return make(key)
-
-
 def _row_of(leq: Callable, lows: list) -> Callable:
     """x's row: ``leq(low, x)`` for every low, as an int with low i's flag
-    at bit 8·i.  A result other than a bool (or 0 or 1) is refused with a
-    ``ValueError`` that names ``leq``, the result and its arguments."""
+    at bit 8·i, kept by point for the check; an unhashable point is
+    evaluated afresh.  When ``leq`` carries ``factors``, the row is the
+    ``&`` of its factors' rows, each kept by component, never by x.  A
+    result other than a bool (or 0 or 1) is refused with a ``ValueError``
+    that names ``leq``, the result and its arguments."""
+    factors = getattr(leq, "factors", None)
+    if factors is not None:
+        first, second = (_row_of(f, [low[i] for low in lows])
+                         for i, f in enumerate(factors))
+        return lambda x: first(x[0]) & second(x[1])
+
     def checked(low, x):
         flag = leq(low, x)
         if not isinstance(flag, int) or flag not in (0, 1):
@@ -336,35 +334,34 @@ def _row_of(leq: Callable, lows: list) -> Callable:
                              f"must return a bool")
         return flag
 
-    def flags(x) -> bytes:
+    def evaluate(x) -> int:
         try:
             row = bytes(map(leq, lows, repeat(x)))
-            if not row.translate(None, b"\0\1"):
-                return row
         except (TypeError, ValueError):
-            pass
-        # Some result is not 0 or 1: evaluate again, one checked call per
-        # low, to name it.  An error that leq itself raises propagates.
-        return bytes(map(checked, lows, repeat(x)))
-    return lambda x: int.from_bytes(flags(x), "little")
+            row = None
+        if row is None or row.translate(None, b"\0\1"):
+            # Some result is not 0 or 1: evaluate again, one checked call
+            # per low, to name it.  An error that leq itself raises
+            # propagates.
+            row = bytes(map(checked, lows, repeat(x)))
+        return int.from_bytes(row, "little")
+
+    rows: dict = {}
+
+    def kept(x) -> int:
+        try:
+            return rows[x]
+        except KeyError:
+            rows[x] = value = evaluate(x)
+            return value
+        except TypeError:
+            return evaluate(x)
+    return kept
 
 
 def _lowest(row: int) -> int:
     """The index of a nonzero row's first true flag, at bit 8·index."""
     return ((row & -row).bit_length() - 1) >> 3
-
-
-def _left_rows(leq: Callable, lows: list) -> Callable:
-    """x's left int row over ``lows``: one ``&`` of the memoized rows of
-    each factor and component of x when ``leq`` carries ``factors``, else
-    one call per low."""
-    factors = getattr(leq, "factors", None)
-    if factors is None:
-        return _row_of(leq, lows)
-    parts = [_row_of(f, [low[i] for low in lows])
-             for i, f in enumerate(factors)]
-    memos = [{} for _ in factors]
-    return lambda x: reduce(and_, map(_memoized, memos, x, parts))
 
 
 def _equivalence(bindings: tuple, gc: CanonicalGC,
@@ -376,25 +373,18 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     two, candidate i's flag at bit 8·i; a row's first mismatch is the
     lowest set bit of left XOR right.
 
-    The right-hand side depends on x only through ``upper(x)``, so each
-    check keeps, per distinct image, its right row on the feasible
-    candidates and its first stray: the lowest set bit of a second row, on
-    the infeasible candidates (empty when there are none), where a true
-    right flag meets a false left side.  Both are filled the first time a
-    row meets the image and dropped with the check.  This assumes that
-    ``order_b.leq`` sees its second argument only through ``==``; an
-    unhashable image is evaluated afresh on every row.
-
-    When ``lower`` is the identity and both sides share one relation (as
-    for takeWhile, filter and dropWhile), x's left row is the right row of
-    the point x itself.  The two sides then read one memo of right rows,
-    keyed by point, so each (candidate, point) pair is evaluated once per
-    check, whichever side asks first.  Otherwise, when ``order_a.leq``
-    carries ``factors``, the left side likewise keeps one row per factor
-    and distinct component of x, and a case's left row is one ``&`` of its
-    components' rows.  This assumes that each factor sees its side of x
-    only through ``==``; an unhashable component is evaluated afresh.  Any
-    other relation runs once per feasible case.
+    Every row comes from a row function (``_row_of``), which keeps each
+    point's row for the check.  The right-hand side depends on x only
+    through ``upper(x)``: per image, its right row on the feasible
+    candidates, and its strays, a second row on the infeasible candidates
+    (empty when there are none), whose lowest set bit is where a true
+    right flag meets a false left side.  This assumes that ``order_b.leq``
+    sees its second argument only through ``==``.  x's left row is read
+    last, on the feasible candidates' lower images.  When ``lower`` is the
+    identity and both sides share one relation (as for takeWhile, filter
+    and dropWhile), it is the right row of the point x itself, read from
+    the same row function, so each (candidate, point) pair is evaluated
+    once per check, whichever side asks first.
     """
     ys = gc.y_axis[1]
 
@@ -406,20 +396,15 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
         right_of = _row_of(gc.order_b.leq, easy_ys)
         strays_of = _row_of(gc.order_b.leq, [ys[i] for i in stray_at])
         if gc.lower is _identity and gc.order_a.leq is gc.order_b.leq:
-            # x's left row is the right row of the point x itself
-            right_of = left_of = partial(_memoized, {}, make=right_of)
+            left_of = right_of
         else:
-            left_of = _left_rows(gc.order_a.leq,
-                                 list(map(gc.lower, easy_ys)))
-        upper, rows = gc.upper, {}
-
-        def row(image):
-            """The image's right row and its first stray, or None."""
-            right, strays = right_of(image), strays_of(image)
-            return right, stray_at[_lowest(strays)] if strays else None
+            left_of = _row_of(gc.order_a.leq, list(map(gc.lower, easy_ys)))
+        upper = gc.upper
 
         def first(x):
-            right, stray = _memoized(rows, upper(x), row)
+            image = upper(x)
+            right, strays = right_of(image), strays_of(image)
+            stray = stray_at[_lowest(strays)] if strays else None
             diff = left_of(x) ^ right
             if not diff:
                 return stray

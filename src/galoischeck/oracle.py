@@ -96,12 +96,12 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
 
     name selects the combinator; the keyword arguments supply its inputs:
     xs, and the one its row's ``param`` names (pred, n or ys).  An input
-    sequence outside the universe ``u`` is refused.  The search walks x's
-    down-set under the order (``candidates_below``), which trusts the
-    order's ``below`` generator to be complete; zip walks, in carrier
-    order, only the pair sequences no longer than the shorter input.  The
-    budget still counts the order's whole carrier: the query refuses
-    upfront when that carrier holds more than ``budget`` elements.
+    sequence is refused unless it is a tuple inside the universe ``u``.
+    The search walks x's down-set under the order (``candidates_below``),
+    which trusts the order's ``below`` generator to be complete; zip walks,
+    in carrier order, only the pair sequences no longer than the shorter
+    input.  The budget still counts the order's whole carrier: the query
+    refuses upfront when it holds more than ``budget`` elements.
     """
     _known("combinator", name, SPEC_NAMES)
     t = TARGETS[name]
@@ -110,6 +110,8 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
         raise ValueError(f"{name} oracle needs xs and {t.param.key}")
     refuse_inapplicable(name, u, pred, n, ys)
     for label, seq in (("xs", xs), ("ys", ys)):
+        if seq is not None and not isinstance(seq, tuple):
+            raise ValueError(f"{label}={seq!r} is not a tuple")
         if seq is not None and (len(seq) > u.max_len or not all(
                 0 <= e < u.alphabet_size for e in seq)):
             raise ValueError(f"{label}={seq!r} is outside the universe "

@@ -301,6 +301,24 @@ def test_unhashable_components_keep_the_report():
     assert rep.verdict == "fail" and rep == check_gc_instance(plain)
 
 
+def _raising(message):
+    def leq(a, b):
+        raise ValueError(message)
+    return leq
+
+
+def test_a_case_reads_its_right_row_before_its_left_row():
+    # both sides are broken, each with its own error: a case reads its
+    # image's right row first, so the right side's error is the one shown
+    [(_, gc)] = build_gcs("take", Universe(2, 2))
+    gc = dataclasses.replace(
+        gc, order_a=dataclasses.replace(gc.order_a, leq=componentwise(
+            _raising("left count"), is_prefix, name="broken_count")),
+        order_b=dataclasses.replace(gc.order_b, leq=_raising("right side")))
+    with pytest.raises(ValueError, match="^right side$"):
+        check_gc_instance(gc)
+
+
 def test_left_side_runs_on_easy_candidates_only(monkeypatch):
     for name, order in (("filter", "sublist"), ("takeWhile", "prefix")):
         calls = {order: 0}

@@ -103,6 +103,10 @@ def test_oracle_spec_argument_validation():
             ("zip", {}, "zip oracle needs xs and ys"),
             ("filter", {"xs": None, "pred": EVEN},
              "filter oracle needs xs and pred"),
+            # a list input is refused before any candidate is built
+            ("takeWhile", {"xs": [0, 1], "pred": EVEN},
+             "xs=[0, 1] is not a tuple"),
+            ("zip", {"ys": [0, 1]}, "ys=[0, 1] is not a tuple"),
             ("reverse", {}, "unknown combinator 'reverse'")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             oracle_spec(name, U6, **{"xs": (2,), **kw})

@@ -56,7 +56,8 @@ TESTS = ("tests/test_connections.py", "tests/test_oracle.py",
          "tests/test_spec_mutants.py", "tests/test_orders.py",
          "tests/test_cli.py::test_help_and_missing_command",
          "tests/test_cli.py::"
-         "test_oracle_zip_walks_only_the_shorter_inputs_length")
+         "test_oracle_zip_walks_only_the_shorter_inputs_length",
+         "tests/test_core.py")
 TIMEOUT = 120.0
 # (FILE:FUNCTION, operator, change as printed) -> why no test can tell the
 # mutant from the original.  An entry covers every mutant it matches.
