@@ -85,12 +85,16 @@ class Param(NamedTuple):
 
 
 def _check_pred(p: Pred, u: Universe) -> None:
+    if not isinstance(p, Pred):
+        raise ValueError(f"pred={p!r} is not a Pred")
     if p.alphabet_size != u.alphabet_size:
         raise ValueError(f"predicate over alphabet {p.alphabet_size} does "
                          f"not match universe alphabet {u.alphabet_size}")
 
 
 def _check_count(n: int, u: Universe) -> None:
+    if not isinstance(n, int):
+        raise ValueError(f"n={n!r} is not an int")
     if n < 0:
         raise ValueError("take count must be non-negative")
 
@@ -158,8 +162,8 @@ def _flatten_bindings(axes: Sequence[Axis], values: Sequence) -> tuple:
     """Pair axis variable names with a concrete value assignment.  An axis
     whose name tuple has several entries holds composite values that are
     unpacked positionally."""
-    return tuple(pair for (names, _), val in zip(axes, values) for pair in
-                 (zip(names, val) if len(names) > 1 else [(names[0], val)]))
+    return tuple(pair for (names, _), val in zip(axes, values)
+                 for pair in zip(names, val if len(names) > 1 else (val,)))
 
 
 @dataclass(frozen=True)
@@ -349,13 +353,18 @@ def _row_of(leq: Callable, lows: list) -> Callable:
     rows: dict = {}
 
     def kept(x) -> int:
+        # a miss is evaluated after its handler, so that an error leq
+        # raises carries no KeyError or TypeError as its context
         try:
             return rows[x]
         except KeyError:
-            rows[x] = value = evaluate(x)
-            return value
+            keep = True
         except TypeError:
-            return evaluate(x)
+            keep = False
+        value = evaluate(x)
+        if keep:
+            rows[x] = value
+        return value
     return kept
 
 
@@ -521,7 +530,7 @@ def _injective_parts(name: str, u: Universe) -> list:
         seen: dict = {}
 
         def not_applicable(rep, gc=gc, seen=seen):
-            y2 = rep.counterexample[-1][1]
+            [(_, y2)] = rep.counterexample
             fy = gc.lower(y2)
             return replace(rep, verdict="not-applicable", counterexample=(
                 ("y1", seen[fy]), ("y2", y2), ("f_y", fy)))

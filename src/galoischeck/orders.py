@@ -123,7 +123,7 @@ def _subsequences(y, u: Universe):
     subs = {()}
     for e in y:
         subs |= {s + (e,) for s in subs}
-    return sorted(subs, key=lambda t: (len(t), t))
+    return subs
 
 
 def _pairs_below(first: Callable, second: Callable) -> Callable:
@@ -185,17 +185,13 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     over its carrier, and report the unique least element if one exists.
 
     The scans visit only the related pairs that the order's below-generator
-    yields, which are kept as one ascending ``above`` row per element.  A
-    row is stored by its size: ``()`` while nothing is known above the
-    element, the one index itself once one is, and a list only when a
-    second index arrives.  Most elements of a large carrier are maximal,
-    with nothing above them but themselves (59,049 of pair-prefix's 66,430
-    at (3, 5)), and a list for each of those rows held about a third of the
-    check's peak memory.  The scans and the least-element test read a
-    one-index row in place.  Only a one-index row without the element's
-    own index (its generator left out x <= x) is wrapped in a 1-tuple and
-    scanned like a list.  The row indices are the index dict's own ints,
-    so no second copy of them is made.
+    yields, which are kept as one ascending ``above`` row per element: ``()``
+    while nothing is known above the element, its own index alone when x <= x
+    is all that is known, and a list otherwise.  Most elements of a large
+    carrier are maximal (59,049 of pair-prefix's 66,430 at (3, 5)), and a
+    list for each of those rows held about a third of the check's peak
+    memory.  The row indices are the index dict's own ints, so no second
+    copy of them is made.
 
     Transitivity reuses the rows: a chain x <= y <= z needs ``leq(x, z)``
     only when z is not already known to be above x, and an element with
@@ -214,7 +210,7 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     context = f"order-laws:{o.name}"
     evals = 0
     # above[i] holds, ascending, every j with leq(elems[i], elems[j]) known
-    # to hold: () for none, j itself for one, a list for two or more.  Rows
+    # to hold: () for none, i itself for x <= x alone, else a list.  Rows
     # are filled in increasing j, so a repeated yield for the current y is
     # the one whose row already ends in j.
     above: list[tuple[()] | int | list[int]] = [()] * n
@@ -241,11 +237,9 @@ def check_order_laws(o: OrderDef, u: Universe, *,
         for i, x in enumerate(elems):
             row = above[i]
             if row.__class__ is int:
-                if row == i:
-                    # x <= x alone: nothing to evaluate
-                    cases += 1
-                    continue
-                row = (row,)
+                # x <= x alone: nothing to evaluate
+                cases += 1
+                continue
             for j in row:
                 cases += 1
                 if i != j and holds(elems[j], x):
@@ -257,20 +251,17 @@ def check_order_laws(o: OrderDef, u: Universe, *,
         for i, x in enumerate(elems):
             mine = above[i]
             if mine.__class__ is int:
-                if mine == i:
-                    # the one chain x <= x <= x is proven; no set needed
-                    cases += 1
-                    continue
-                mine = (mine,)
+                # the one chain x <= x <= x is proven; no set needed
+                cases += 1
+                continue
             proven = set(mine)
             for j in mine:
                 row = above[j]
                 if row.__class__ is int:
-                    if row in proven:
-                        cases += 1
-                        continue
-                    row = (row,)
-                elif proven.issuperset(row):
+                    # j's row is j alone, and j is in proven
+                    cases += 1
+                    continue
+                if proven.issuperset(row):
                     cases += len(row)
                     continue
                 for k in row:
@@ -302,7 +293,8 @@ def check_order_laws(o: OrderDef, u: Universe, *,
             elif row == j:
                 continue
             else:
-                above[i] = [row, j] if row.__class__ is int else j
+                above[i] = [row, j] if row.__class__ is int else (
+                    j if i == j else [j])
             # i == j means x == y, and leq(y, y) held in the reflexivity scan
             if (i != j or not reflexive_holds) and not holds(x, y):
                 raise ValueError(f"below-generator for {o.name} yielded "

@@ -319,6 +319,20 @@ def test_a_case_reads_its_right_row_before_its_left_row():
         check_gc_instance(gc)
 
 
+@pytest.mark.parametrize("image", [tuple, list], ids=["kept", "unhashable"])
+def test_a_broken_relations_error_carries_no_lookup_context(image):
+    # a row is evaluated after the memo's lookup has failed, not inside its
+    # handler, so the relation's own error is not chained to a KeyError
+    # (a new image) or a TypeError (an image that cannot key the memo)
+    [(_, gc)] = build_gcs("take", Universe(2, 2))
+    gc = dataclasses.replace(
+        gc, upper=lambda v: image(take_n(*v)),
+        order_b=dataclasses.replace(gc.order_b, leq=_raising("right side")))
+    with pytest.raises(ValueError, match="^right side$") as exc:
+        check_gc_instance(gc)
+    assert exc.value.__context__ is None
+
+
 def test_left_side_runs_on_easy_candidates_only(monkeypatch):
     for name, order in (("filter", "sublist"), ("takeWhile", "prefix")):
         calls = {order: 0}
@@ -362,6 +376,15 @@ INAPPLICABLE = [
      "a predicate does not apply to 'zip'"),
     (check_canonical_gc, "words-unwords", {"pred": Pred(1, 2)},
      "a predicate does not apply to 'words-unwords'"),
+    # a value of the wrong type is refused by its kind's check, and a kind
+    # that does not apply is refused whatever the value's type
+    (check_easy_hard, "takeWhile", {"pred": 1}, "pred=1 is not a Pred"),
+    (check_canonical_gc, "filter", {"pred": (1, 2)},
+     "pred=(1, 2) is not a Pred"),
+    (check_easy_hard, "take", {"n": 1.5}, "n=1.5 is not an int"),
+    (check_easy_hard, "take", {"n": "2"}, "n='2' is not an int"),
+    (check_easy_hard, "filter", {"n": "2"},
+     "a count does not apply to 'filter'"),
 ]
 
 

@@ -28,8 +28,18 @@ from galoischeck import (
     zip_pair,
 )
 from galoischeck.connections import COUNT, SPEC_NAMES, TARGETS
-from galoischeck.core import enum_pair_seqs, enumerate_carrier
-from galoischeck.orders import PREFIX, SUBLIST
+from galoischeck.core import (
+    enum_pair_seqs,
+    enumerate_carrier,
+    materialize_carrier,
+)
+from galoischeck.orders import (
+    ORDERS,
+    PREFIX,
+    SEQ_LIST_PREFIX,
+    SEQ_PAIR_PREFIX,
+    SUBLIST,
+)
 
 U6 = Universe(6, 3)
 EVEN = Pred(0b010101, 6)
@@ -52,6 +62,20 @@ def test_candidates_below_sublist():
     assert set(got) == {
         (), (2,), (4,), (5,), (2, 4), (2, 5), (4, 5), (2, 4, 5),
     }
+
+
+SHIPPED_ORDERS = [*ORDERS.values(), SEQ_PAIR_PREFIX, SEQ_LIST_PREFIX]
+
+
+@pytest.mark.parametrize("order", SHIPPED_ORDERS,
+                         ids=[o.name for o in SHIPPED_ORDERS])
+def test_below_generators_yield_each_element_once(order):
+    # the down-set and the law checker drop repeats, so a generator that
+    # yields an element twice would only cost both of them work
+    u = Universe(2, 3)
+    for y in materialize_carrier(order.carrier, u):
+        below = list(order.below(y, u))
+        assert len(below) == len(set(below)), (y, below)
 
 
 def test_best_under_picks_greatest_feasible():
@@ -107,6 +131,11 @@ def test_oracle_spec_argument_validation():
             ("takeWhile", {"xs": [0, 1], "pred": EVEN},
              "xs=[0, 1] is not a tuple"),
             ("zip", {"ys": [0, 1]}, "ys=[0, 1] is not a tuple"),
+            # a parameter of the wrong type is refused by its kind's check
+            ("takeWhile", {"pred": 1}, "pred=1 is not a Pred"),
+            ("filter", {"pred": 0b01}, "pred=1 is not a Pred"),
+            ("take", {"n": 1.5}, "n=1.5 is not an int"),
+            ("take", {"n": "2"}, "n='2' is not an int"),
             ("reverse", {}, "unknown combinator 'reverse'")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             oracle_spec(name, U6, **{"xs": (2,), **kw})

@@ -25,10 +25,12 @@ The working tree (without ``.git`` and caches) is copied once into a fresh
 directory under ``--workdir``, which must lie outside the repository, and
 the copy is removed when the run ends.  Each mutant in turn is written into
 that copy, the fixed test subset ``TESTS`` runs against it with ``-x``, and
-the original file is put back.  A mutant is killed when the subset fails or
-runs past ``TIMEOUT`` seconds, and survives when it passes.  One line per
-mutant and the score go to stdout.  The subset must pass on the unmutated
-copy first.
+the original file is put back.  The subset must pass on the unmutated copy
+first, and that run's wall time, times ``TIMEOUT_FACTOR``, is each mutant's
+timeout: a mutant that makes a loop never end costs a few subset runs, not
+a fixed allowance.  A mutant is killed when the subset fails or runs past
+its timeout, and survives when it passes.  One line per mutant and the
+score go to stdout.
 
 ``EQUIVALENT`` lists the mutants argued equivalent to the original, each
 with its argument, and a listed mutant must survive.  What fails the run
@@ -48,6 +50,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +61,7 @@ TESTS = ("tests/test_connections.py", "tests/test_oracle.py",
          "tests/test_cli.py::"
          "test_oracle_zip_walks_only_the_shorter_inputs_length",
          "tests/test_core.py")
-TIMEOUT = 120.0
+TIMEOUT_FACTOR = 4
 # (FILE:FUNCTION, operator, change as printed) -> why no test can tell the
 # mutant from the original.  An entry covers every mutant it matches.
 EQUIVALENT = {
@@ -172,12 +175,12 @@ def mutants(path: Path, function: str) -> list[tuple[int, str, str, bytes]]:
     return sorted(out, key=lambda m: (m[0], m[1], m[2]))
 
 
-def _passes(copy: Path) -> bool:
+def _passes(copy: Path, timeout: float | None = None) -> bool:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
            "no:cacheprovider", *TESTS]
     try:
-        return subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT,
+        return subprocess.run(cmd, cwd=copy, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL).returncode == 0
     except subprocess.TimeoutExpired:
@@ -210,16 +213,19 @@ def main(argv: list[str] | None = None) -> int:
         copy = base / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        started = time.monotonic()
         if not _passes(copy):
             print("the test subset fails on the unmutated copy",
                   file=sys.stderr)
             return 2
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - started)
+        print(f"timeout: {timeout:.1f} s a mutant", flush=True)
         killed_count = equivalent = wrong = 0
         for file, function, (line, label, change, mutated) in plan:
             original = (copy / file).read_bytes()
             (copy / file).write_bytes(mutated)
             try:
-                killed = not _passes(copy)
+                killed = not _passes(copy, timeout)
             finally:
                 (copy / file).write_bytes(original)
             argument = EQUIVALENT.get((f"{file}:{function}", label, change))
