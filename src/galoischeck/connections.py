@@ -93,7 +93,8 @@ def _check_pred(p: Pred, u: Universe) -> None:
 
 
 def _check_count(n: int, u: Universe) -> None:
-    if not isinstance(n, int):
+    # a bool is an int to isinstance, but True is no count
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n={n!r} is not an int")
     if n < 0:
         raise ValueError("take count must be non-negative")

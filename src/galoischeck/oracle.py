@@ -96,7 +96,7 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
 
     name selects the combinator; the keyword arguments supply its inputs:
     xs, and the one its row's ``param`` names (pred, n or ys).  An input
-    sequence is refused unless it is a tuple inside the universe ``u``.
+    sequence is refused unless it is a tuple of ints in the universe ``u``.
     The search walks x's down-set under the order (``candidates_below``),
     which trusts the order's ``below`` generator to be complete; zip walks,
     in carrier order, only the pair sequences no longer than the shorter
@@ -113,7 +113,7 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
         if seq is not None and not isinstance(seq, tuple):
             raise ValueError(f"{label}={seq!r} is not a tuple")
         if seq is not None and (len(seq) > u.max_len or not all(
-                0 <= e < u.alphabet_size for e in seq)):
+                type(e) is int and 0 <= e < u.alphabet_size for e in seq)):
             raise ValueError(f"{label}={seq!r} is outside the universe "
                              f"alphabet={u.alphabet_size} max_len={u.max_len}")
     x = xs if ys is None else (xs, ys)

@@ -46,6 +46,7 @@ from galoischeck import cli, connections, oracle
 from galoischeck.connections import TARGETS
 from galoischeck.core import CarrierKind, materialize_carrier
 from galoischeck.orders import PREFIX, componentwise, is_prefix
+from loop_reference import first_violation, flat
 
 U23 = Universe(2, 3)
 U26 = Universe(2, 6)
@@ -94,16 +95,10 @@ def test_run_check_reports_the_first_violation_position():
 def _product_loop(axes, violates):
     """The plain reference: every case of the axes' product in order, up to
     and including the first violation."""
-    n = 0
-    for case in itertools.product(*(vals for _, vals in axes)):
-        n += 1
-        if violates(*case):
-            bindings = []
-            for (names, _), val in zip(axes, case):
-                bindings += (zip(names, val) if len(names) > 1
-                             else [(names[0], val)])
-            return "fail", n, tuple(bindings)
-    return "pass", n, None
+    return first_violation(
+        (violates(*case),
+         sum((flat(names, v) for (names, _), v in zip(axes, case)), ()))
+        for case in itertools.product(*(vals for _, vals in axes)))
 
 
 def _random_axes(rng):
@@ -385,6 +380,7 @@ INAPPLICABLE = [
     (check_easy_hard, "take", {"n": "2"}, "n='2' is not an int"),
     (check_easy_hard, "filter", {"n": "2"},
      "a count does not apply to 'filter'"),
+    (check_easy_hard, "take", {"n": True}, "n=True is not an int"),
 ]
 
 

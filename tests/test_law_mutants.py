@@ -2,11 +2,11 @@
 registry and on wrong rows swapped into it.
 
 The reference walks each law's quantifiers in the documented order, with
-its own enumeration and relations: targets in sorted order, then each
-target's instances (the predicate outermost), then the carrier the law
-quantifies over.  It returns the verdict, the number of cases up to and
-including the first violation (all of them on a pass) and that violation's
-bindings, which ``check_law`` must reproduce exactly.
+the enumeration and relations of ``loop_reference``: targets in sorted
+order, then each target's instances (the predicate outermost), then the
+carrier the law quantifies over.  It returns the verdict, the number of
+cases up to and including the first violation (all of them on a pass) and
+that violation's bindings, which ``check_law`` must reproduce exactly.
 
 Mutants are injected only by swapping a ``TARGETS`` or ``ORDERS`` row for a
 ``dataclasses.replace`` of it, so every law sees them through the registry
@@ -20,132 +20,59 @@ import itertools
 
 import pytest
 
-from galoischeck import (
-    Pred,
-    Universe,
-    check_law,
-    drop_while,
-    filter_p,
-    take_n,
-    take_while,
-    zip_pair,
-)
+from galoischeck import Pred, Universe, check_law, drop_while, filter_p
 from galoischeck import connections, orders
+from loop_reference import (
+    REAL,
+    first_violation,
+    flat,
+    flipped_take_while,
+    instances,
+    preds,
+    prefix,
+    seqs,
+    sublist,
+)
 
 UNIVERSES = ((2, 3), (3, 2))
 LAWS = ("cancellation-left", "cancellation-right", "fusion", "idempotent",
         "indirect-equality", "injective-adjoint", "semi-inverse",
         "split-append")
-
-
-# --- the reference's own enumeration and relations ---------------------------
-
-
-def seqs(k, L):
-    return [s for n in range(L + 1)
-            for s in itertools.product(range(k), repeat=n)]
-
-
-def pair_seqs(k, L):
-    pairs = list(itertools.product(range(k), repeat=2))
-    return [s for n in range(L + 1)
-            for s in itertools.product(pairs, repeat=n)]
-
-
-def preds(k):
-    return [Pred(mask, k) for mask in range(1 << k)]
-
-
-def prefix(a, b):
-    return b[:len(a)] == a
-
-
-def suffix(a, b):
-    return len(a) <= len(b) and b[len(b) - len(a):] == a
-
-
-def sublist(a, b):
-    rest = iter(b)
-    return all(e in rest for e in a)
-
-
-def all_pass(p, ys):
-    return all(p(e) for e in ys)
-
-
-def head_fails(p, z):
-    return not z or not p(z[0])
-
-
-def unzip(zs):
-    return tuple(a for a, _ in zs), tuple(b for _, b in zs)
-
-
-# name -> (order, easy condition, input name, candidate name)
-FAMILIES = {
-    "dropWhile": (suffix, head_fails, "l", "z"),
-    "filter": (sublist, all_pass, "xs", "ys"),
-    "takeWhile": (prefix, all_pass, "xs", "ys"),
-}
 CONNECTIONS = ("dropWhile", "filter", "take", "takeWhile", "zip")
 
 
 @dataclasses.dataclass
 class World:
-    """What a law computes with: the combinators, take's lower map and the
-    named orders of the indirect-equality law."""
+    """What a law computes with: the combinators, take's lower map (None:
+    the real one) and the named orders of the indirect-equality law."""
 
     hard: dict
-    take_lower: object = lambda ys: (len(ys), ys)
+    take_lower: object = None
     orders: dict = dataclasses.field(
         default_factory=lambda: {"prefix": prefix, "sublist": sublist})
 
-
-REAL = {"dropWhile": drop_while, "filter": filter_p, "take": take_n,
-        "takeWhile": take_while, "zip": zip_pair}
-
-
-def flat(names, value):
-    return tuple(zip(names, value)) if len(names) > 1 else ((names[0], value),)
-
-
-def instances(name, k, L, w):
-    """(bindings, x names, x carrier, y name, y carrier, lower, upper,
-    left order, right order) of each adjoint instance of a target."""
-    S, hard = seqs(k, L), w.hard[name]
-    if name in FAMILIES:
-        leq, easy, x_name, y_name = FAMILIES[name]
-        for p in preds(k):
-            yield ((("p", p),), (x_name,), S, y_name,
-                   [y for y in S if easy(p, y)], lambda y: y,
-                   lambda x, p=p: hard(p, x), leq, leq)
-    elif name == "take":
-        yield ((), ("n", "xs"), [(n, xs) for n in range(L + 2) for xs in S],
-               "ys", S, w.take_lower, lambda v: hard(*v),
-               lambda a, b: a[0] <= b[0] and prefix(a[1], b[1]), prefix)
-    else:
-        yield ((), ("xs", "ys"), [(xs, ys) for xs in S for ys in S],
-               "zs", pair_seqs(k, L), unzip, lambda v: hard(*v),
-               lambda a, b: prefix(a[0], b[0]) and prefix(a[1], b[1]), prefix)
+    def instances(self, name, k, L):
+        return instances(name, k, L, self.hard[name],
+                         take_lower=self.take_lower)
 
 
 # --- one generator of (verdict, bindings) per case, per law ------------------
 
 
 def cancellation_left(name, k, L, w):
-    for b, xn, X, _, _, lower, upper, leq_a, _ in instances(name, k, L, w):
+    for b, xn, X, _, _, lower, upper, leq_a, _ in w.instances(name, k, L):
         for x in X:
             yield not leq_a(lower(upper(x)), x), b + flat(xn, x)
 
 
 def cancellation_right(name, k, L, w):
-    for b, _, _, yn, Y, lower, upper, _, leq_b in instances(name, k, L, w):
+    for b, _, _, yn, Y, lower, upper, _, leq_b in w.instances(name, k, L):
         for y in Y:
             yield not leq_b(y, upper(lower(y))), b + ((yn, y),)
 
 
 def semi_inverse(name, k, L, w):
-    for b, xn, X, yn, Y, lower, upper, _, _ in instances(name, k, L, w):
+    for b, xn, X, yn, Y, lower, upper, _, _ in w.instances(name, k, L):
         for x in X:
             yield (upper(lower(upper(x))) != upper(x),
                    b + (("equation", "g.f.g = g"),) + flat(xn, x))
@@ -156,7 +83,7 @@ def semi_inverse(name, k, L, w):
 
 def injective_adjoint(name, k, L, w):
     """A repeated image of the lower map makes the law not applicable."""
-    for b, _, _, yn, Y, lower, upper, _, _ in instances(name, k, L, w):
+    for b, _, _, yn, Y, lower, upper, _, _ in w.instances(name, k, L):
         seen = {}
         for y in Y:
             fy = lower(y)
@@ -213,14 +140,8 @@ def reference(law, k, L, w):
     """(verdict, cases up to the first hit, its bindings) of the whole law;
     a case that yields a verdict string ends the law with that verdict."""
     key, targets, cases = REFERENCE[law]
-    n = 0
-    for t in targets:
-        for hit, bindings in cases(t, k, L, w):
-            n += 1
-            if hit:
-                verdict = hit if isinstance(hit, str) else "fail"
-                return verdict, n, (((key, t),) if key else ()) + bindings
-    return "pass", n, None
+    return first_violation((hit, (((key, t),) if key else ()) + b)
+                           for t in targets for hit, b in cases(t, k, L, w))
 
 
 def engine(law, k, L):
@@ -231,11 +152,6 @@ def engine(law, k, L):
 # --- the catalogue ----------------------------------------------------------
 
 
-def _flipped_take_while(p, xs):
-    return take_while(Pred(~p.mask & ((1 << p.alphabet_size) - 1),
-                           p.alphabet_size), xs)
-
-
 # name -> (registry, row, field, value, laws that must reject it)
 MUTANTS = {
     "filter-not-idempotent": (
@@ -243,7 +159,7 @@ MUTANTS = {
         {"idempotent", "fusion", "cancellation-right", "semi-inverse",
          "injective-adjoint"}),
     "takeWhile-breaks-fusion": (
-        "TARGETS", "takeWhile", "hard", _flipped_take_while,
+        "TARGETS", "takeWhile", "hard", flipped_take_while,
         {"fusion", "split-append", "cancellation-right", "semi-inverse",
          "injective-adjoint"}),
     "dropWhile-breaks-split-append": (

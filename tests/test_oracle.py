@@ -120,6 +120,7 @@ def test_oracle_spec_examples():
 
 
 def test_oracle_spec_argument_validation():
+    outside = "is outside the universe alphabet=6 max_len=3"
     for name, kw, message in (
             ("takeWhile", {}, "takeWhile oracle needs xs and pred"),
             ("filter", {}, "filter oracle needs xs and pred"),
@@ -136,6 +137,14 @@ def test_oracle_spec_argument_validation():
             ("filter", {"pred": 0b01}, "pred=1 is not a Pred"),
             ("take", {"n": 1.5}, "n=1.5 is not an int"),
             ("take", {"n": "2"}, "n='2' is not an int"),
+            ("take", {"n": True}, "n=True is not an int"),
+            # an element that is not an int is outside the universe
+            ("zip", {"xs": (0,), "ys": (0.5,)}, f"ys=(0.5,) {outside}"),
+            ("take", {"xs": (0.5,), "n": 1}, f"xs=(0.5,) {outside}"),
+            ("take", {"xs": (True,), "n": 1}, f"xs=(True,) {outside}"),
+            ("take", {"xs": ("1",), "n": 1}, f"xs=('1',) {outside}"),
+            ("filter", {"xs": (None,), "pred": EVEN},
+             f"xs=(None,) {outside}"),
             ("reverse", {}, "unknown combinator 'reverse'")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             oracle_spec(name, U6, **{"xs": (2,), **kw})

@@ -32,12 +32,9 @@ from galoischeck import (
     seq_pair_prefix,
 )
 from galoischeck.orders import PAIR_PREFIX, SEQ_LIST_PREFIX, SEQ_PAIR_PREFIX
+from loop_reference import first_violation, prefix
 
 short_seq = st.lists(st.integers(0, 3), max_size=6).map(tuple)
-
-
-def slice_prefix(ys, xs):
-    return xs[: len(ys)] == ys
 
 
 def selection_sublist(ys, xs):
@@ -51,7 +48,7 @@ def tail_suffix(s, l):
 
 @given(short_seq, short_seq)
 def test_is_prefix_matches_slice_characterization(ys, xs):
-    assert is_prefix(ys, xs) == slice_prefix(ys, xs)
+    assert is_prefix(ys, xs) == prefix(ys, xs)
 
 
 @given(short_seq, short_seq)
@@ -70,11 +67,10 @@ def test_prefix_and_sublist_match_closed_forms_on_every_pair():
     again with either side or both as lists."""
     seqs = list(enum_seqs(Universe(3, 4)))
     for ys, xs in product(seqs, repeat=2):
-        prefix, sublist = slice_prefix(ys, xs), selection_sublist(ys, xs)
+        want = prefix(ys, xs), selection_sublist(ys, xs)
         for a, b in ((ys, xs), (list(ys), xs), (ys, list(xs)),
                      (list(ys), list(xs))):
-            assert is_prefix(a, b) == prefix, (a, b)
-            assert is_sublist(a, b) == sublist, (a, b)
+            assert (is_prefix(a, b), is_sublist(a, b)) == want, (a, b)
 
 
 def test_suffix_matches_its_closed_form_on_every_pair():
@@ -280,15 +276,10 @@ def reference_order_laws(o, u, budget=DEFAULT_BUDGET):
         return o.leq(a, b)
 
     def first_failure(law, cases):
-        count = 0
-        for holds, cx in cases:
-            count += 1
-            if not holds:
-                return CheckReport(f"{law}:{o.name}", "fail", count, cx)
-        return CheckReport(f"{law}:{o.name}", "pass", count)
+        return CheckReport(f"{law}:{o.name}", *first_violation(cases))
 
     reflexive = first_failure(
-        "reflexive", ((leq(x, x), (("x", x),)) for x in elems))
+        "reflexive", ((not leq(x, x), (("x", x),)) for x in elems))
     index = {v: i for i, v in enumerate(elems)}
     below = []
     for y in elems:
@@ -303,11 +294,11 @@ def reference_order_laws(o, u, budget=DEFAULT_BUDGET):
         below.append(row)
     above = [[j for j in range(n) if i in below[j]] for i in range(n)]
     antisymmetric = first_failure("antisymmetric", (
-        (not (i != j and leq(elems[j], elems[i])),
+        (i != j and leq(elems[j], elems[i]),
          (("x", elems[i]), ("y", elems[j])))
         for i in range(n) for j in above[i]))
     transitive = first_failure("transitive", (
-        (leq(elems[i], elems[k]),
+        (not leq(elems[i], elems[k]),
          (("x", elems[i]), ("y", elems[j]), ("z", elems[k])))
         for i in range(n) for j in above[i] for k in above[j]))
     bottoms = [i for i in range(n) if len(above[i]) == n]
@@ -325,8 +316,8 @@ def all_prefixes(y, u):
 
 def parent_if_last_0(y, u):
     """y without its last symbol when that symbol is 0, else nothing.  Only
-    x + (0,) is above x, so every row holds no index or one index other
-    than the element's own."""
+    x + (0,) is above x, so every row is empty or the list ``[j]`` of one
+    other index; none is the int row of x <= x alone."""
     return [y[:-1]] if y[-1:] == (0,) else []
 
 
@@ -360,11 +351,11 @@ HAND_MADE = {
     # fails reflexivity at (0,), and the generator yields (0,) below (0,)
     "prefix-irreflexive": OrderDef("prefix-irreflexive", prefix_but_not_at_0,
                                    SEQ, all_prefixes),
-    # rows of no index or one other than the element's own
+    # rows that are () or the list [j] of one other index
     "prefix-last-0": OrderDef("prefix-last-0", is_prefix, SEQ,
                               parent_if_last_0),
-    # the same rows, and (0,) <= () as well as () <= (0,): the one-index
-    # row of () must be scanned for antisymmetry
+    # the same rows, and (0,) <= () as well as () <= (0,): the row [j] of
+    # (), unlike an int row, must be scanned for antisymmetry
     "always-last-0": OrderDef("always-last-0", always, SEQ,
                               parent_if_last_0),
 }

@@ -2,10 +2,11 @@
 combinators and on wrong ones.
 
 The reference loops over each law's quantifiers in the documented order,
-with its own enumeration and relations: the predicate or count outermost,
-then the input, then the candidate.  It returns the verdict, the number of
-cases up to and including the first violation (all of them on a pass) and
-that violation's bindings, which the engine must reproduce exactly.
+with the enumeration and relations of ``loop_reference``: the predicate or
+count outermost, then the input, then the candidate.  It returns the
+verdict, the number of cases up to and including the first violation (all
+of them on a pass) and that violation's bindings, which the engine must
+reproduce exactly.
 
 Every wrong combinator here must be rejected.  The catalogue mutants are
 the classic slips; the seeded ones differ from the real combinator on one
@@ -33,16 +34,24 @@ from galoischeck import (
     drop_while,
     filter_p,
     merge_reports,
-    take_n,
     take_while,
-    zip_pair,
 )
 from galoischeck.connections import TARGETS
 from galoischeck.orders import componentwise
+from loop_reference import (
+    FAMILIES,
+    REAL,
+    first_violation,
+    flipped_take_while,
+    gc_cases,
+    pair_seqs,
+    preds,
+    prefix,
+    seqs,
+    sublist,
+)
 
 NAMES = ("dropWhile", "filter", "take", "takeWhile", "zip")
-REAL = {"dropWhile": drop_while, "filter": filter_p, "take": take_n,
-        "takeWhile": take_while, "zip": zip_pair}
 UNIVERSES = {name: ((2, 3), (3, 2)) for name in NAMES}
 UNIVERSES["zip"] = ((2, 2), (2, 3))
 SEEDED_PER_UNIVERSE = 10
@@ -51,133 +60,19 @@ SEEDED_PER_UNIVERSE = 10
 # --- the reference ----------------------------------------------------------
 
 
-def seqs(k, L):
-    return [s for n in range(L + 1)
-            for s in itertools.product(range(k), repeat=n)]
-
-
-def pair_seqs(k, L):
-    pairs = list(itertools.product(range(k), repeat=2))
-    return [s for n in range(L + 1) for s in itertools.product(pairs, repeat=n)]
-
-
-def preds(k):
-    return [Pred(mask, k) for mask in range(1 << k)]
-
-
-def prefix(a, b):
-    return b[:len(a)] == a
-
-
-def suffix(a, b):
-    return len(a) <= len(b) and b[len(b) - len(a):] == a
-
-
-def sublist(a, b):
-    rest = iter(b)
-    return all(e in rest for e in a)
-
-
-def all_pass(p, ys):
-    return all(p(e) for e in ys)
-
-
-def head_fails(p, z):
-    return not z or not p(z[0])
-
-
-# name -> (order, easy condition, input name, candidate name)
-FAMILIES = {
-    "takeWhile": (prefix, all_pass, "xs", "ys"),
-    "filter": (sublist, all_pass, "xs", "ys"),
-    "dropWhile": (suffix, head_fails, "l", "z"),
-}
-
-
 def spec_cases(name, k, L, hard):
-    """(bindings, left side, right side) of the split specification
-    ``easy and candidate <= input  <=>  candidate <= hard(input)``, in scan
-    order.  dropWhile's candidate ranges over the sequences whose head fails
-    the predicate, the others' over the whole carrier."""
+    """takeWhile's or filter's split specification ``easy and candidate <=
+    input  <=>  candidate <= hard(input)``, the candidate over the whole
+    carrier, in scan order.  dropWhile's, take's and zip's is their
+    adjunction, ``gc_cases``, with the same axes."""
+    leq, easy, _, _ = FAMILIES[name]
     S = seqs(k, L)
-    if name in FAMILIES:
-        leq, easy, x_name, y_name = FAMILIES[name]
-        for p in preds(k):
-            for x in S:
-                out = hard(p, x)
-                for y in S:
-                    if name == "dropWhile" and not easy(p, y):
-                        continue
-                    yield (((("p", p), (x_name, x), (y_name, y))),
-                           easy(p, y) and leq(y, x), leq(y, out))
-    elif name == "take":
-        for n in range(L + 2):
-            for xs in S:
-                out = hard(n, xs)
-                for ys in S:
-                    yield ((("n", n), ("xs", xs), ("ys", ys)),
-                           len(ys) <= n and prefix(ys, xs), prefix(ys, out))
-    else:
+    for p in preds(k):
         for xs in S:
+            out, bx = hard(p, xs), (("p", p), ("xs", xs))
             for ys in S:
-                out = hard(xs, ys)
-                for zs in pair_seqs(k, L):
-                    left = tuple(a for a, _ in zs)
-                    right = tuple(b for _, b in zs)
-                    yield ((("xs", xs), ("ys", ys), ("zs", zs)),
-                           prefix(left, xs) and prefix(right, ys),
-                           prefix(zs, out))
-
-
-def gc_cases(name, k, L, hard, leq_a=None, leq_b=None):
-    """The adjunction ``lower y <= x  <=>  y <= upper x`` with upper the
-    combinator; ``leq_a`` and ``leq_b`` replace the order of the left and
-    the right side.  The predicate families have the identity as lower map
-    and their candidate ranges over the easy set.  Take (lower
-    ``ys -> (len ys, ys)`` under count-and-prefix) and zip (lower unzip
-    under componentwise prefix) are written out; with the real orders they
-    are the split specification itself."""
-    S = seqs(k, L)
-    if name in FAMILIES:
-        leq, easy, x_name, y_name = FAMILIES[name]
-        leq_a, leq_b = leq_a or leq, leq_b or leq
-        for p in preds(k):
-            feasible = [y for y in S if easy(p, y)]
-            for x in S:
-                out = hard(p, x)
-                for y in feasible:
-                    yield ((("p", p), (x_name, x), (y_name, y)),
-                           leq_a(y, x), leq_b(y, out))
-        return
-    leq_b = leq_b or prefix
-    if name == "take":
-        leq_a = leq_a or (lambda a, b: a[0] <= b[0] and prefix(a[1], b[1]))
-        for n in range(L + 2):
-            for xs in S:
-                out = hard(n, xs)
-                for ys in S:
-                    yield ((("n", n), ("xs", xs), ("ys", ys)),
-                           leq_a((len(ys), ys), (n, xs)), leq_b(ys, out))
-    else:
-        leq_a = leq_a or (lambda a, b: prefix(a[0], b[0])
-                          and prefix(a[1], b[1]))
-        for xs in S:
-            for ys in S:
-                out = hard(xs, ys)
-                for zs in pair_seqs(k, L):
-                    unzipped = (tuple(a for a, _ in zs),
-                                tuple(b for _, b in zs))
-                    yield ((("xs", xs), ("ys", ys), ("zs", zs)),
-                           leq_a(unzipped, (xs, ys)), leq_b(zs, out))
-
-
-def reference(cases):
-    n = 0
-    for bindings, lhs, rhs in cases:
-        n += 1
-        if lhs != rhs:
-            return "fail", n, bindings
-    return "pass", n, None
+                yield ((easy(p, ys) and leq(ys, xs)) != leq(ys, out),
+                       bx + (("ys", ys),))
 
 
 # --- the engine under test --------------------------------------------------
@@ -207,9 +102,10 @@ def engine_gc(name, k, L, hard):
 
 def agree(name, k, L, hard):
     """Engine and reference outcomes on both laws; returns the verdicts."""
-    spec = reference(spec_cases(name, k, L, hard))
+    gc = first_violation(gc_cases(name, k, L, hard))
+    spec = (first_violation(spec_cases(name, k, L, hard))
+            if name in ("filter", "takeWhile") else gc)
     assert engine_spec(name, k, L, hard) == spec
-    gc = reference(gc_cases(name, k, L, hard))
     assert engine_gc(name, k, L, hard) == gc
     return spec[0], gc[0]
 
@@ -222,20 +118,15 @@ def test_real_combinators_match_reference(name, u):
     k, L = u
     assert agree(name, k, L, REAL[name]) == ("pass", "pass")
     assert (outcome(check_canonical_gc(name, Universe(k, L)))
-            == reference(gc_cases(name, k, L, REAL[name])))
+            == first_violation(gc_cases(name, k, L, REAL[name])))
 
 
 # --- the catalogue ----------------------------------------------------------
 
 
-def _flipped_take_while(p, xs):
-    return take_while(Pred(~p.mask & ((1 << p.alphabet_size) - 1),
-                           p.alphabet_size), xs)
-
-
 CATALOGUE = {
     "take-off-by-one": ("take", lambda n, xs: xs[:n + 1]),
-    "takeWhile-polarity-flipped": ("takeWhile", _flipped_take_while),
+    "takeWhile-polarity-flipped": ("takeWhile", flipped_take_while),
     "filter-drops-last-kept": ("filter", lambda p, xs: filter_p(p, xs)[:-1]),
     "filter-stops-at-first-failure": ("filter", take_while),
     "dropWhile-drops-one-more": ("dropWhile",
@@ -335,7 +226,7 @@ def test_mutant_orders_match_reference(name, u, side, mutant):
         parts.append((bindings, check_gc_instance(
             dataclasses.replace(gc, **{side: order}))))
     engine = outcome(merge_reports(f"gc:{name}", parts))
-    ref = reference(gc_cases(name, k, L, REAL[name], **{
+    ref = first_violation(gc_cases(name, k, L, REAL[name], **{
         "leq_a" if side == "order_a" else "leq_b": leq}))
     assert engine == ref
     assert engine[0] == "fail"
@@ -390,7 +281,8 @@ def test_factor_mutant_orders_match_reference(name, u, mutant, build):
     [(_, gc)] = build_gcs(name, Universe(k, L))
     order = dataclasses.replace(gc.order_a, leq=engine_leq)
     engine = outcome(check_gc_instance(dataclasses.replace(gc, order_a=order)))
-    assert engine == reference(gc_cases(name, k, L, REAL[name], leq_a=leq))
+    assert engine == first_violation(
+        gc_cases(name, k, L, REAL[name], leq_a=leq))
     assert engine[0] == "fail"
 
 

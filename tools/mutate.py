@@ -60,7 +60,7 @@ TESTS = ("tests/test_connections.py", "tests/test_oracle.py",
          "tests/test_cli.py::test_help_and_missing_command",
          "tests/test_cli.py::"
          "test_oracle_zip_walks_only_the_shorter_inputs_length",
-         "tests/test_core.py")
+         "tests/test_core.py", "tests/test_combinators.py")
 TIMEOUT_FACTOR = 4
 # (FILE:FUNCTION, operator, change as printed) -> why no test can tell the
 # mutant from the original.  An entry covers every mutant it matches.
