@@ -51,6 +51,14 @@ def _known(noun: str, name: str, names) -> None:
         raise ValueError(f"unknown {noun} {name!r}")
 
 
+def _ints(**values) -> None:
+    """Refuse a value that is not an int, naming it.  A bool is an int to
+    isinstance, but True is no count or bound."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name}={value!r} is not an int")
+
+
 @dataclass(frozen=True)
 class Universe:
     """Enumeration bounds: alphabet {0..alphabet_size-1}, lengths 0..max_len."""
@@ -59,6 +67,7 @@ class Universe:
     max_len: int
 
     def __post_init__(self) -> None:
+        _ints(alphabet_size=self.alphabet_size, max_len=self.max_len)
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be at least 1")
         if self.max_len < 0:
@@ -77,15 +86,23 @@ class Pred:
     alphabet_size: int
 
     def __post_init__(self) -> None:
+        _ints(mask=self.mask, alphabet_size=self.alphabet_size)
+        if self.alphabet_size < 1:
+            raise ValueError("alphabet_size must be at least 1")
         if not 0 <= self.mask < (1 << self.alphabet_size):
             raise ValueError(f"mask {self.mask:#b} out of range for alphabet "
                              f"of size {self.alphabet_size}")
 
     def __call__(self, e: Elem) -> bool:
-        if not 0 <= e < self.alphabet_size:
-            raise ValueError(f"element {e} outside alphabet of size "
-                             f"{self.alphabet_size}")
-        return bool(self.mask >> e & 1)
+        # an element that is not an int is refused by the TypeError it
+        # raises, so that a good element pays for no type test
+        try:
+            if 0 <= e < self.alphabet_size:
+                return bool(self.mask >> e & 1)
+        except TypeError:
+            raise ValueError(f"element {e!r} is not an int") from None
+        raise ValueError(f"element {e} outside alphabet of size "
+                         f"{self.alphabet_size}")
 
     def bits(self) -> str:
         """Render as a 0b literal padded to the alphabet width."""

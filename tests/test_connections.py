@@ -45,7 +45,7 @@ from galoischeck import (
 from galoischeck import cli, connections, oracle
 from galoischeck.connections import TARGETS
 from galoischeck.core import CarrierKind, materialize_carrier
-from galoischeck.orders import PREFIX, componentwise, is_prefix
+from galoischeck.orders import ORDERS, PREFIX, componentwise, is_prefix
 from loop_reference import first_violation, flat
 
 U23 = Universe(2, 3)
@@ -624,6 +624,23 @@ def test_indirect_equality_prefix_and_sublist():
         assert rep.ok and rep.cases_checked == 961
     with pytest.raises(UniverseTooLargeError):
         check_indirect_equality("prefix", Universe(2, 4), budget=1000)
+
+
+def test_indirect_equality_reads_one_row_per_element(monkeypatch):
+    calls = {"prefix": 0}
+    monkeypatch.setitem(ORDERS, "prefix",
+                        _counting(ORDERS["prefix"], calls, "prefix"))
+    assert check_indirect_equality("prefix", U23).ok
+    # one down-set row per sequence, over all 15 sequences: 15 x 15
+    assert calls == {"prefix": 225}
+
+
+def test_indirect_equality_refuses_a_relation_that_is_not_a_bool(
+        monkeypatch):
+    monkeypatch.setitem(ORDERS, "prefix", dataclasses.replace(
+        ORDERS["prefix"], leq=lambda a, b: None))
+    with pytest.raises(ValueError, match="must return a bool"):
+        check_indirect_equality("prefix", U23)
 
 
 # --- the law battery -------------------------------------------------------

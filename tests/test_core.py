@@ -117,6 +117,24 @@ def test_pred_mask_out_of_range():
         Pred(-1, 2)
 
 
+@pytest.mark.parametrize("mask,k,message", [
+    (1.0, 2, "mask=1.0 is not an int"),
+    (True, 2, "mask=True is not an int"),
+    (1, 2.0, "alphabet_size=2.0 is not an int"),
+    (1, True, "alphabet_size=True is not an int"),
+    (0, 0, "alphabet_size must be at least 1"),
+])
+def test_pred_refuses_malformed_fields(mask, k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Pred(mask, k)
+
+
+@pytest.mark.parametrize("e", [0.0, "0", None], ids=["float", "str", "none"])
+def test_pred_refuses_an_element_that_is_not_an_int(e):
+    with pytest.raises(ValueError, match=f"^element {e!r} is not an int$"):
+        Pred(1, 2)(e)
+
+
 def test_pred_and_intersects_masks():
     p = Pred(0b011, 3)
     q = Pred(0b110, 3)
@@ -144,6 +162,17 @@ def test_universe_validation():
     with pytest.raises(ValueError):
         Universe(2, -1)
     assert Universe(1, 0) == Universe(1, 0)
+
+
+@pytest.mark.parametrize("k,n,message", [
+    (2.0, 2, "alphabet_size=2.0 is not an int"),
+    (2, 2.0, "max_len=2.0 is not an int"),
+    (True, 3, "alphabet_size=True is not an int"),
+    (2, True, "max_len=True is not an int"),
+])
+def test_universe_refuses_a_bound_that_is_not_an_int(k, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Universe(k, n)
 
 
 def test_nat_bound_exceeds_every_length():

@@ -2,7 +2,7 @@
 
 - every ``check-laws``, ``check-spec`` and ``check-gc`` report, text and
   JSON, at (2,3) and (2,4); ``check-gc`` also covers the two splitters at
-  (2,6);
+  (2,6), and ``check-laws`` indirect equality at (3,5);
 - every ``check-order`` report at (2,3), (3,2) and (2,4);
 - ``check-spec --target take --n k`` at (2,3) for k = 0 to 4;
 - every ``find-counterexample`` report at (2,4) and (2,6);
@@ -36,6 +36,8 @@ UNIVERSES = ((2, 3), (2, 4))
 FORMATS = {"text": "txt", "json": "json"}
 CASES = [(law, u, fmt) for law in LAW_NAMES for u in UNIVERSES
          for fmt in FORMATS]
+# indirect equality compares a down-set row per pair of the 364 sequences
+CASES += [("indirect-equality", (3, 5), fmt) for fmt in FORMATS]
 CHECK_CASES = [
     (command, target, u, fmt)
     for command, targets in (("check-spec", SPEC_NAMES),
