@@ -65,6 +65,7 @@ from .orders import (
     SUFFIX,
     ORDERS,
     OrderDef,
+    _decided,
     check_order_laws,
 )
 # Unused here; perfbench/tracing.py wraps these module globals by name.
@@ -320,23 +321,25 @@ def build_gcs(name: str, u: Universe,
 def _row_of(leq: Callable, lows: list) -> Callable:
     """x's row: ``leq(low, x)`` for every low, as an int with low i's flag
     at bit 8·i, kept by point for the check; an unhashable point is
-    evaluated afresh.  When ``leq`` carries ``factors``, the row is the
-    ``&`` of its factors' rows, each kept by component, never by x.  A
-    result other than a bool (or 0 or 1) is refused with a ``ValueError``
-    that names ``leq``, the result and its arguments."""
+    evaluated afresh.  ``leq`` runs once per distinct hashable low, in
+    first-occurrence order, and must see a low only through ``==``; each
+    flag is set at every bit of its low's mask.  When ``leq`` carries
+    ``factors``, the row is the ``&`` of its factors' rows, each kept by
+    component, never by x.  A non-bool result is refused (``_decided``)."""
     factors = getattr(leq, "factors", None)
     if factors is not None:
         first, second = (_row_of(f, [low[i] for low in lows])
                          for i, f in enumerate(factors))
         return lambda x: first(x[0]) & second(x[1])
-
-    def checked(low, x):
-        flag = leq(low, x)
-        if not isinstance(flag, int) or flag not in (0, 1):
-            raise ValueError(f"relation {getattr(leq, '__name__', leq)} "
-                             f"returned {flag!r} for ({low!r}, {x!r}); it "
-                             f"must return a bool")
-        return flag
+    masks = None
+    try:
+        distinct = dict.fromkeys(lows, 0)
+    except TypeError:  # an unhashable low
+        distinct = lows
+    if len(distinct) < len(lows):
+        for i, low in enumerate(lows):  # low's mask: bit 8·i per position i
+            distinct[low] |= 1 << 8 * i
+        lows, masks = list(distinct), list(distinct.values())
 
     def evaluate(x) -> int:
         try:
@@ -344,10 +347,11 @@ def _row_of(leq: Callable, lows: list) -> Callable:
         except (TypeError, ValueError):
             row = None
         if row is None or row.translate(None, b"\0\1"):
-            # Some result is not 0 or 1: evaluate again, one checked call
-            # per low, to name it.  An error that leq itself raises
-            # propagates.
-            row = bytes(map(checked, lows, repeat(x)))
+            # Some result is not 0 or 1: evaluate again, checked, to name
+            # it.  An error that leq itself raises propagates.
+            row = bytes(_decided(leq(low, x), leq, low, x) for low in lows)
+        if masks is not None:
+            return sum(compress(masks, row))
         return int.from_bytes(row, "little")
 
     rows: dict = {}
@@ -389,11 +393,13 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     (empty when there are none), whose lowest set bit is where a true
     right flag meets a false left side.  This assumes that ``order_b.leq``
     sees its second argument only through ``==``.  x's left row is read
-    last, on the feasible candidates' lower images.  When ``lower`` is the
-    identity and both sides share one relation (as for takeWhile, filter
-    and dropWhile), it is the right row of the point x itself, read from
-    the same row function, so each (candidate, point) pair is evaluated
-    once per check, whichever side asks first.
+    last, on the feasible candidates' lower images, each distinct image
+    evaluated once (zip's and take's components and the word lists' joins
+    repeat), which assumes the same of ``order_a.leq``'s first argument.
+    When ``lower`` is the identity and both sides share one relation (as
+    for takeWhile, filter and dropWhile), it is the right row of the point
+    x itself, read from the same row function, so each (candidate, point)
+    pair is evaluated once per check, whichever side asks first.
     """
     ys = gc.y_axis[1]
 
@@ -483,11 +489,14 @@ def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
 def _cancellation_parts(name: str, u: Universe, side: str) -> list:
     if side not in ("left", "right"):
         raise ValueError(f"cancellation side must be left or right: {side!r}")
+
+    def fails(leq, a, b) -> bool:
+        return not _decided(leq(a, b), leq, a, b)
     if side == "left":
-        return [_Part(b, [gc.x_axis], lambda x, gc=gc: not gc.order_a.leq(
+        return [_Part(b, [gc.x_axis], lambda x, gc=gc: fails(gc.order_a.leq,
             gc.lower(gc.upper(x)), x)) for b, gc in build_gcs(name, u)]
-    return [_Part(b, [gc.y_axis], lambda y, gc=gc: not gc.order_b.leq(
-        y, gc.upper(gc.lower(y)))) for b, gc in build_gcs(name, u)]
+    return [_Part(b, [gc.y_axis], lambda y, gc=gc: fails(gc.order_b.leq, y,
+        gc.upper(gc.lower(y)))) for b, gc in build_gcs(name, u)]
 
 
 def check_cancellation(name: str, u: Universe, side: str, *,

@@ -81,6 +81,15 @@ def is_suffix(s: Seq, l: Seq) -> bool:
     return s == l
 
 
+def _decided(flag, leq: Callable, a, b) -> bool:
+    """``flag``, the result of ``leq(a, b)``, if it is a bool (or 0 or 1);
+    else a ``ValueError`` that names ``leq``, the result and its arguments."""
+    if isinstance(flag, int) and flag in (0, 1):
+        return flag
+    raise ValueError(f"relation {getattr(leq, '__name__', leq)} returned "
+                     f"{flag!r} for ({a!r}, {b!r}); it must return a bool")
+
+
 def componentwise(first: Callable, second: Callable, *,
                   name: str) -> Callable:
     """The product of two orders on pairs: a pair is below another exactly
@@ -201,8 +210,8 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     ``leq`` sees its arguments only through ``==``, as every order here
     does.  Every evaluation that is made goes through one counted relation,
     so the budget counts exactly the evaluations made and none that is
-    skipped.  Failures carry the first witness in enumeration order of the
-    quantifiers.
+    skipped, and a non-bool result is refused.  Failures carry the first
+    witness in enumeration order of the quantifiers.
     """
     elems = materialize_carrier(o.carrier, u)
     n = len(elems)
@@ -220,7 +229,9 @@ def check_order_laws(o: OrderDef, u: Universe, *,
         evals += 1
         if evals > budget:
             raise UniverseTooLargeError(evals, budget, context)
-        return leq(a, b)
+        flag = leq(a, b)
+        return flag if flag is True or flag is False else _decided(
+            flag, leq, a, b)
 
     def report(law: str, cases: int, cx: tuple | None) -> CheckReport:
         return CheckReport(f"{law}:{o.name}", "fail" if cx else "pass",

@@ -11,6 +11,7 @@ import pytest
 from galoischeck import cli, core, oracle
 from galoischeck.cli import build_parser, main
 from galoischeck.connections import TARGETS
+from galoischeck.orders import ORDERS, is_prefix
 
 # every check payload carries exactly these keys, in this order
 REPORT_KEYS = ["command", "target", "universe", "cases_checked", "verdict",
@@ -276,6 +277,15 @@ def test_budget_exhaustion_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "exceed budget 1000" in err
+
+
+def test_a_relation_that_is_not_a_bool_exits_2(capsys, monkeypatch):
+    monkeypatch.setitem(ORDERS, "prefix", replace(
+        ORDERS["prefix"], leq=lambda a, b: 2 if is_prefix(a, b) else 0))
+    code, out, err = run_cli(capsys, "check-order", "--target", "prefix")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: relation <lambda> returned 2 for ")
 
 
 def test_check_laws_refusal_projects_the_whole_law(capsys):

@@ -4,6 +4,7 @@ candidates and their consequences, refutation search, and the law battery."""
 import collections
 import dataclasses
 import itertools
+import operator
 import random
 import re
 from functools import partial
@@ -279,8 +280,75 @@ def test_componentwise_left_rows_are_kept_per_component_value():
                              order_b=_counting(gc.order_b, calls, "b"))
     rep = check_gc_instance(gc)
     assert rep.ok and rep.cases_checked == 19125
-    # one row of 85 lows per distinct xs and per distinct ys (15 each)
-    assert calls == {"xs": 15 * 85, "ys": 15 * 85, "b": 85 * 85}
+    # one row per distinct xs and per distinct ys (15 each), over the 15
+    # distinct components among the 85 candidates' unzipped lows
+    assert calls == {"xs": 15 * 15, "ys": 15 * 15, "b": 85 * 85}
+
+
+def test_takes_count_factor_runs_once_per_distinct_length():
+    calls = {"n": 0, "xs": 0}
+
+    def counting(key, leq):
+        def counted(a, b):
+            calls[key] += 1
+            return leq(a, b)
+        return counted
+    [(_, gc)] = build_gcs("take", U23)
+    gc = dataclasses.replace(gc, order_a=dataclasses.replace(
+        gc.order_a, leq=componentwise(counting("n", operator.le),
+                                      counting("xs", is_prefix), name="c")))
+    assert check_gc_instance(gc).cases_checked == 1125
+    # 5 counts (0..4) against the 4 lengths of the 15 candidates; the
+    # sequence factor's 15 lows are all distinct, one call each per xs
+    assert calls == {"n": 5 * 4, "xs": 15 * 15}
+
+
+def test_words_left_side_runs_once_per_distinct_joined_low():
+    calls = {"a": 0, "b": 0}
+    [(_, gc)] = build_gcs("words-unwords", U23)
+    gc = dataclasses.replace(gc, order_a=_counting(gc.order_a, calls, "a"),
+                             order_b=_counting(gc.order_b, calls, "b"))
+    rep = check_gc_instance(gc)
+    assert rep.verdict == "fail" and rep.cases_checked == 2
+    # x = () is the one row read: its 14 word lists join to 7 sequences
+    assert len(set(map(gc.lower, gc.y_axis[1]))) == 7
+    assert calls == {"a": 7, "b": 14}
+
+
+def _loose_prefix(a, b):
+    # 0 and 1 are flags too; lists compare by their elements
+    return int(is_prefix(tuple(a), tuple(b)))
+
+
+SEQS = materialize_carrier(CarrierKind.SEQ, U23)
+ROW_LOWS = {
+    "repeats": [s[1:] for s in SEQS],
+    "distinct": SEQS[::-1],
+    "unhashable": [list(s[1:]) for s in SEQS],
+}
+
+
+@pytest.mark.parametrize("leq", [is_prefix, _loose_prefix])
+@pytest.mark.parametrize("lows", ROW_LOWS.values(), ids=ROW_LOWS)
+def test_a_row_is_the_relation_mapped_over_every_low(leq, lows):
+    row = connections._row_of(leq, lows)
+    for x in SEQS:
+        assert row(x) == int.from_bytes(
+            bytes(map(leq, lows, itertools.repeat(x))), "little"), x
+
+
+@pytest.mark.parametrize("lows", ROW_LOWS.values(), ids=ROW_LOWS)
+def test_a_non_bool_names_the_first_bad_low_in_lows_order(lows):
+    # lows that end in 1 are bad; the first of them is (1,), wherever its
+    # value first repeats
+    def bad_on_1(a, b):
+        return None if a[-1:] in ((1,), [1]) else is_prefix(a, b)
+    first = next(low for low in lows if low[-1:] in ((1,), [1]))
+    row = connections._row_of(bad_on_1, lows)
+    message = (f"relation bad_on_1 returned None for ({first!r}, (0, 1, 1))"
+               f"; it must return a bool")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        row((0, 1, 1))
 
 
 def test_unhashable_components_keep_the_report():
@@ -641,6 +709,44 @@ def test_indirect_equality_refuses_a_relation_that_is_not_a_bool(
         ORDERS["prefix"], leq=lambda a, b: None))
     with pytest.raises(ValueError, match="must return a bool"):
         check_indirect_equality("prefix", U23)
+
+
+def _two_or_zero(a, b):
+    return 2 if is_prefix(a, b) else 0
+
+
+def _with_prefix_leq(monkeypatch, leq):
+    """Prefix, and takeWhile's order, read through ``leq``."""
+    monkeypatch.setitem(ORDERS, "prefix", dataclasses.replace(
+        ORDERS["prefix"], leq=leq))
+    t = TARGETS["takeWhile"]
+    monkeypatch.setitem(TARGETS, "takeWhile", dataclasses.replace(
+        t, order=dataclasses.replace(t.order, leq=leq)))
+
+
+LAWS_ON_PREFIX = {
+    "order-laws": lambda: order_laws_report("prefix", U23)[0],
+    "cancellation-left": lambda: check_cancellation("takeWhile", U23, "left"),
+    "cancellation-right":
+        lambda: check_cancellation("takeWhile", U23, "right"),
+}
+
+
+@pytest.mark.parametrize("law", LAWS_ON_PREFIX)
+def test_the_laws_refuse_a_relation_that_is_not_a_bool(monkeypatch, law):
+    # the first evaluation of each law is prefix at ((), ())
+    _with_prefix_leq(monkeypatch, _two_or_zero)
+    message = ("relation _two_or_zero returned 2 for ((), ()); it must "
+               "return a bool")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LAWS_ON_PREFIX[law]()
+
+
+@pytest.mark.parametrize("law", LAWS_ON_PREFIX)
+def test_the_laws_take_0_and_1_as_flags(monkeypatch, law):
+    plain = LAWS_ON_PREFIX[law]()
+    _with_prefix_leq(monkeypatch, lambda a, b: int(is_prefix(a, b)))
+    assert plain.ok and LAWS_ON_PREFIX[law]() == plain
 
 
 # --- the law battery -------------------------------------------------------
