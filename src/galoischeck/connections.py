@@ -325,7 +325,12 @@ def _row_of(leq: Callable, lows: list) -> Callable:
     first-occurrence order, and must see a low only through ``==``; each
     flag is set at every bit of its low's mask.  When ``leq`` carries
     ``factors``, the row is the ``&`` of its factors' rows, each kept by
-    component, never by x.  A non-bool result is refused (``_decided``)."""
+    component, never by x.  When it carries a row form, ``rows`` (as
+    ``is_suffix`` does), a hashable tuple x's row is read from
+    ``leq.rows(lows)`` if every low is a hashable tuple, and ``leq`` is not
+    called; any other x or low, and any relation without the attribute (a
+    wrapped or replaced one), is evaluated pair by pair.  A non-bool result
+    is refused (``_decided``)."""
     factors = getattr(leq, "factors", None)
     if factors is not None:
         first, second = (_row_of(f, [low[i] for low in lows])
@@ -336,6 +341,12 @@ def _row_of(leq: Callable, lows: list) -> Callable:
         distinct = dict.fromkeys(lows, 0)
     except TypeError:  # an unhashable low
         distinct = lows
+    form = getattr(leq, "rows", None)
+    if form is not None and distinct is not lows and all(
+            low.__class__ is tuple for low in lows):
+        own = form(lows)
+    else:
+        own = None
     if len(distinct) < len(lows):
         for i, low in enumerate(lows):  # low's mask: bit 8·i per position i
             distinct[low] |= 1 << 8 * i
@@ -365,7 +376,10 @@ def _row_of(leq: Callable, lows: list) -> Callable:
             keep = True
         except TypeError:
             keep = False
-        value = evaluate(x)
+        if keep and own is not None and x.__class__ is tuple:
+            value = own(x)
+        else:
+            value = evaluate(x)
         if keep:
             rows[x] = value
         return value
@@ -399,7 +413,10 @@ def _equivalence(bindings: tuple, gc: CanonicalGC,
     When ``lower`` is the identity and both sides share one relation (as
     for takeWhile, filter and dropWhile), it is the right row of the point
     x itself, read from the same row function, so each (candidate, point)
-    pair is evaluated once per check, whichever side asks first.
+    pair is evaluated once per check, whichever side asks first.  Where the
+    relation carries a row form (dropWhile's ``is_suffix``), a row costs
+    what lies below its point and no relation call: x's suffixes, looked up
+    among the candidates.
     """
     ys = gc.y_axis[1]
 

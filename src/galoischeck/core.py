@@ -94,8 +94,10 @@ class Pred:
                              f"of size {self.alphabet_size}")
 
     def __call__(self, e: Elem) -> bool:
-        # an element that is not an int is refused by the TypeError it
-        # raises, so that a good element pays for no type test
+        # a bool compares as 0 or 1, so its class is tested; any other
+        # element that is not an int is refused by the TypeError it raises
+        if e.__class__ is bool:
+            raise ValueError(f"element {e!r} is not an int")
         try:
             if 0 <= e < self.alphabet_size:
                 return bool(self.mask >> e & 1)

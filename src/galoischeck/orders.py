@@ -8,6 +8,15 @@ test suite as independent cross-checks.  ``is_prefix``, ``is_sublist`` and
 below a shorter one, read off the two lengths.  Only then do they peel
 heads, so a pair whose first sequence is the longer is refused without a
 loop.
+
+One closed form is kept here as well: ``is_suffix.rows``, the suffix
+order's row form, which a spec or gc row reads instead of calling the
+relation once per low (see ``_suffix_rows``).  It is a second definition of
+the same relation, kept in the package because it is what makes
+dropWhile's rows cost what x has below it; the test suite checks that it
+agrees with ``is_suffix`` on every pair at small bounds and on the odd
+values a ``hard_fn`` can return.  ``is_prefix`` and ``is_sublist`` carry no
+row form yet.
 """
 
 from __future__ import annotations
@@ -71,14 +80,46 @@ def is_suffix(s: Seq, l: Seq) -> bool:
 
     A longer sequence never ends a shorter one.  Otherwise s ends l when s
     is l itself or ends l's tail, and only the tail as long as s can be s:
-    the loop peels one head off l for each element l has beyond s.
+    the one that starts ``off`` elements into l, for the ``off`` elements l
+    has beyond s.  Each loop step peels one head off s and off that tail,
+    read by index, so a list and a tuple compare element by element.
     """
     n = len(s)
-    if n > len(l):
+    off = len(l) - n
+    if off < 0:
         return False
-    for _ in range(len(l) - n):
-        l = l[1:]
-    return s == l
+    i = 0
+    while i < n:
+        if s[i] != l[off + i]:
+            return False
+        i += 1
+    return True
+
+
+def _suffix_rows(lows: list) -> Callable:
+    """``is_suffix``'s row form: x's row, the int with bit 8·i set when
+    ``lows[i]`` ends x, for tuple lows and a hashable tuple x.  What ends x
+    is exactly x's ``len(x) + 1`` suffixes: x itself, then each tail down to
+    the empty one.  Their lengths all differ, so the row is the sum of their
+    masks in a dict from each low to its bits, where equal lows share one
+    mask.  A dict finds a key by hash and ``==``, which agree with the
+    element-by-element comparison on every tuple whose elements each equal
+    themselves (a NaN does not)."""
+    masks: dict = {}
+    for i, low in enumerate(lows):
+        masks[low] = masks.get(low, 0) | 1 << 8 * i
+    get = masks.get
+
+    def row(x: tuple) -> int:
+        flags = get(x, 0)
+        while x:
+            x = x[1:]
+            flags += get(x, 0)
+        return flags
+    return row
+
+
+is_suffix.rows = _suffix_rows
 
 
 def _decided(flag, leq: Callable, a, b) -> bool:

@@ -33,6 +33,7 @@ from galoischeck import (
     check_law,
     check_semi_inverse,
     check_split_append,
+    drop_while,
     find_non_gc_counterexample,
     oracle_spec,
     order_laws_report,
@@ -46,7 +47,8 @@ from galoischeck import (
 from galoischeck import cli, connections, oracle
 from galoischeck.connections import TARGETS
 from galoischeck.core import CarrierKind, materialize_carrier
-from galoischeck.orders import ORDERS, PREFIX, componentwise, is_prefix
+from galoischeck.orders import (
+    ORDERS, PREFIX, componentwise, is_prefix, is_suffix)
 from loop_reference import first_violation, flat
 
 U23 = Universe(2, 3)
@@ -237,6 +239,7 @@ def test_spec_unknown_name():
     ("take", lambda n, xs: list(take_n(n, xs)), "pass", 1125, None),
     ("zip", lambda xs, ys: [list(z) for z in zip_pair(xs, ys)], "fail", 1362,
      (("xs", (0,)), ("ys", (0,)), ("zs", ((0, 0),)))),
+    ("dropWhile", lambda p, l: list(drop_while(p, l)), "pass", 480, None),
 ])
 def test_unhashable_upper_images_keep_the_verdict(name, hard, verdict, cases,
                                                   witness):
@@ -335,6 +338,45 @@ def test_a_row_is_the_relation_mapped_over_every_low(leq, lows):
     for x in SEQS:
         assert row(x) == int.from_bytes(
             bytes(map(leq, lows, itertools.repeat(x))), "little"), x
+
+
+SEQS34 = materialize_carrier(CarrierKind.SEQ, Universe(3, 4))
+SUFFIX_ROWS = {  # lows, points
+    "every-pair": (SEQS34, SEQS34),
+    "repeats": ([s[1:] for s in SEQS34], SEQS34),
+    # True == 1 == 1.0, and equal lows of other types share one mask
+    "bool-float": ([(True,), (1,), (1.0,), (), (0, True), (0.0, 1)],
+                   [(True,), (1,), (1.0,), (0, 1), (False, 1.0), (1, 1)]),
+    "nested": ([(), ((1,),), ((0,), (1,)), ((0, 1),), (((),),)],
+               [((0,), (1,)), ((1,), (0,), (1,)), ((0, 1),), (((),),), ()]),
+    # an unhashable low or point, and a hashable one that is not a tuple
+    # (a range equals no tuple, yet matches one element by element), take
+    # the map path
+    "list-low": ([(), [1], (0, 1), [0, 1]], SEQS),
+    "list-x": (SEQS, [list(s) for s in SEQS] + [((0,), [1])]),
+    "range-low": ([(), range(2), (0, 1), range(1, 2)], SEQS),
+    "range-x": (SEQS, [range(2), range(1, 2), range(0)]),
+}
+
+
+@pytest.mark.parametrize("lows,xs", SUFFIX_ROWS.values(), ids=SUFFIX_ROWS)
+def test_a_suffix_row_is_is_suffix_mapped_over_every_low(lows, xs):
+    row = connections._row_of(is_suffix, lows)
+    for x in xs:
+        assert row(x) == int.from_bytes(
+            bytes(map(is_suffix, lows, itertools.repeat(x))), "little"), x
+
+
+def test_a_row_form_stands_in_for_every_call_on_tuples():
+    # a tuple x against tuple lows is read from the form alone; the map
+    # path still runs for a list x
+    def refused(a, b):
+        raise AssertionError((a, b))
+    refused.rows = is_suffix.rows
+    row = connections._row_of(refused, SEQS)
+    assert row((0, 1)) == connections._row_of(is_suffix, SEQS)((0, 1))
+    with pytest.raises(AssertionError):
+        row([0, 1])
 
 
 @pytest.mark.parametrize("lows", ROW_LOWS.values(), ids=ROW_LOWS)

@@ -129,10 +129,15 @@ def test_pred_refuses_malformed_fields(mask, k, message):
         Pred(mask, k)
 
 
-@pytest.mark.parametrize("e", [0.0, "0", None], ids=["float", "str", "none"])
+@pytest.mark.parametrize("e", [0.0, "0", None, True, False],
+                         ids=["float", "str", "none", "true", "false"])
 def test_pred_refuses_an_element_that_is_not_an_int(e):
-    with pytest.raises(ValueError, match=f"^element {e!r} is not an int$"):
-        Pred(1, 2)(e)
+    # a bool compares as 0 or 1, yet names no element: Pred(2, 2)(True)
+    # must not read element 1's bit
+    for p in (Pred(1, 2), Pred(2, 2)):
+        with pytest.raises(ValueError,
+                           match=f"^element {e!r} is not an int$"):
+            p(e)
 
 
 def test_pred_and_intersects_masks():

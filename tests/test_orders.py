@@ -74,12 +74,13 @@ def test_prefix_and_sublist_match_closed_forms_on_every_pair():
 
 
 def test_suffix_matches_its_closed_form_on_every_pair():
-    """The same pairs for ``is_suffix``.  A list never equals a tuple, so a
-    mixed pair is unrelated, under the closed form as under the clauses."""
+    """The same pairs for ``is_suffix``, which compares a list and a tuple
+    element by element, as ``is_prefix`` and ``is_sublist`` do."""
     seqs = list(enum_seqs(Universe(3, 4)))
     for s, l in product(seqs, repeat=2):
+        want = tail_suffix(s, l)
         for a, b in ((s, l), (list(s), l), (s, list(l)), (list(s), list(l))):
-            assert is_suffix(a, b) == tail_suffix(a, b), (a, b)
+            assert is_suffix(a, b) == want, (a, b)
 
 
 def test_frozen_relation_examples():
