@@ -10,7 +10,8 @@ index in the fixed axis order, and on failure ``cases_checked`` is that
 violation's 1-based position.
 
 A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row,
-each side one int of one-byte flags (see ``_equivalence``).
+each side one int of one-byte flags, the easy condition one mask on the
+left side and one right-row function per check (see ``_equivalences``).
 
 Each target is described once, by its ``TARGETS`` row (see ``Target``),
 and each kind of parameter by one ``Param`` record.  The spec, gc, oracle
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import compress, count, product, repeat
 from math import prod
-from operator import not_
 from typing import Callable, NamedTuple, Sequence
 
 from .combinators import (
@@ -278,14 +278,16 @@ class CanonicalGC:
 
 def _parts(name: str, u: Universe, pred: Pred | None = None,
            n: int | None = None, hard: Callable | None = None,
-           spec: bool = False) -> list[tuple[tuple, CanonicalGC, list | None]]:
+           spec: bool = False) -> list[tuple[tuple, CanonicalGC, int]]:
     """The instances a gc check of ``name`` runs, in order, as (bindings,
-    instance, feasible), with ``hard`` (by default the combinator) as the
+    instance, mask), with ``hard`` (by default the combinator) as the
     upper map.  A row with an easy condition has one instance per
     predicate, whose candidate ranges over the easy set; for a ``spec`` it
-    ranges over the whole carrier, and ``feasible`` flags each candidate in
-    the easy set, which the left side then also requires.  x ranges over
-    ``order_a``'s carrier, or over (n, xs) for a given count n.
+    ranges over the whole carrier, one list for every predicate, and
+    ``mask`` sets bit 8·i where candidate i meets the easy condition (by
+    truth value), which the left side then also requires; elsewhere it is
+    -1.  x ranges over ``order_a``'s carrier, or over (n, xs) for a given
+    count n.
     """
     _known("adjoint pair target", name, GC_TARGETS)
     t = TARGETS[name]
@@ -300,14 +302,15 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
                  order_b=t.order, x_axis=(t.x_names, xs))
     if t.easy is None:
         return [((), gc(upper=t.upper or (lambda v: hard(*v)),
-                        y_axis=(t.y_names, ys)), None)]
+                        y_axis=(t.y_names, ys)), -1)]
     whole = spec and not t.feasible_only
     parts = []
     for p in [pred] if pred is not None else enum_preds(u):
         flags = [t.easy(p, y) for y in ys]
         y_axis = (t.y_names, ys if whole else list(compress(ys, flags)))
         parts.append(((("p", p),), gc(upper=partial(hard, p), y_axis=y_axis),
-                      flags if whole else None))
+                      int.from_bytes(bytes(map(bool, flags)), "little")
+                      if whole else -1))
     return parts
 
 
@@ -391,59 +394,53 @@ def _lowest(row: int) -> int:
     return ((row & -row).bit_length() - 1) >> 3
 
 
-def _equivalence(bindings: tuple, gc: CanonicalGC,
-                 feasible: list | None = None) -> _Part:
-    """The defining equivalence of ``gc`` over the product of its carriers,
-    one x against every y per row, with a false left side wherever a
-    ``feasible`` flag is false.  Each check splits the candidates once, into
-    the feasible and the infeasible ones.  Rows are ints over one of the
-    two, candidate i's flag at bit 8·i; a row's first mismatch is the
-    lowest set bit of left XOR right.
+def _equivalences(instances: list) -> list[_Part]:
+    """The defining equivalence of each (bindings, gc, mask) instance over
+    the product of its carriers, one x against every y per row, the left
+    side also requiring the easy condition: ``mask`` has bit 8·i set where
+    candidate i meets it (-1: every candidate).  Each side of a row is an
+    int, candidate i's flag at bit 8·i, and a row's first mismatch is the
+    lowest set bit of ``right ^ (left & mask)``.
 
     Every row comes from a row function (``_row_of``), which keeps each
     point's row for the check.  The right-hand side depends on x only
-    through ``upper(x)``: per image, its right row on the feasible
-    candidates, and its strays, a second row on the infeasible candidates
-    (empty when there are none), whose lowest set bit is where a true
-    right flag meets a false left side.  This assumes that ``order_b.leq``
-    sees its second argument only through ``==``.  x's left row is read
-    last, on the feasible candidates' lower images, each distinct image
-    evaluated once (zip's and take's components and the word lists' joins
-    repeat), which assumes the same of ``order_a.leq``'s first argument.
-    When ``lower`` is the identity and both sides share one relation (as
-    for takeWhile, filter and dropWhile), it is the right row of the point
-    x itself, read from the same row function, so each (candidate, point)
-    pair is evaluated once per check, whichever side asks first.  Where the
-    relation carries a row form (dropWhile's ``is_suffix``), a row costs
-    what lies below its point and no relation call: x's suffixes, looked up
-    among the candidates.
+    through ``upper(x)``.  Instances that scan the same candidate list under
+    the same ``order_b.leq`` (every predicate of a takeWhile or filter spec)
+    share one right-row function, so each (candidate, image) pair is
+    evaluated once per check.  This assumes that ``order_b.leq`` sees its
+    second argument only through ``==``.  x's left row is read last, on the
+    candidates' lower images, each distinct image evaluated once (zip's and
+    take's components and the word lists' joins repeat), which assumes the
+    same of ``order_a.leq``'s first argument.  When ``lower`` is the
+    identity and both sides share one relation (as for takeWhile, filter
+    and dropWhile), it is the right row of the point x itself, read from
+    the same row function, so each (candidate, point) pair is evaluated
+    once per check, whichever side asks first.  Where the relation carries
+    a row form (dropWhile's ``is_suffix``), a row costs what lies below its
+    point and no relation call: x's suffixes, looked up among the
+    candidates.
     """
-    ys = gc.y_axis[1]
+    shared = None  # (relation, candidates, their right-row function)
 
-    def start():
-        flags = [True] * len(ys) if feasible is None else feasible
-        at = list(compress(count(), flags))
-        stray_at = list(compress(count(), map(not_, flags)))
-        easy_ys = list(compress(ys, flags))
-        right_of = _row_of(gc.order_b.leq, easy_ys)
-        strays_of = _row_of(gc.order_b.leq, [ys[i] for i in stray_at])
-        if gc.lower is _identity and gc.order_a.leq is gc.order_b.leq:
-            left_of = right_of
-        else:
-            left_of = _row_of(gc.order_a.leq, list(map(gc.lower, easy_ys)))
-        upper = gc.upper
+    def part(bindings, gc, mask):
+        ys = gc.y_axis[1]
 
-        def first(x):
-            image = upper(x)
-            right, strays = right_of(image), strays_of(image)
-            stray = stray_at[_lowest(strays)] if strays else None
-            diff = left_of(x) ^ right
-            if not diff:
-                return stray
-            j = at[_lowest(diff)]
-            return j if stray is None else min(j, stray)
-        return first
-    return _Part(bindings, [gc.x_axis, gc.y_axis], _Rows(start))
+        def start():
+            nonlocal shared
+            leq = gc.order_b.leq
+            if shared is None or shared[0] is not leq or shared[1] is not ys:
+                shared = leq, ys, _row_of(leq, ys)
+            right_of = left_of = shared[2]
+            if gc.lower is not _identity or gc.order_a.leq is not leq:
+                left_of = _row_of(gc.order_a.leq, list(map(gc.lower, ys)))
+            upper = gc.upper
+
+            def first(x):
+                diff = right_of(upper(x)) ^ (left_of(x) & mask)
+                return _lowest(diff) if diff else None
+            return first
+        return _Part(bindings, [gc.x_axis, gc.y_axis], _Rows(start))
+    return [part(*i) for i in instances]
 
 
 # ``workers`` is ignored; perfbench/workloads.py still passes it.
@@ -451,11 +448,11 @@ def check_gc_instance(gc: CanonicalGC, *, budget: int = DEFAULT_BUDGET,
                       workers: int = 1) -> CheckReport:
     """Check the defining equivalence of one adjunction candidate over the
     full product of its two carriers."""
-    return _run_parts(f"gc:{gc.name}", [_equivalence((), gc)], budget)
+    return _run_parts(f"gc:{gc.name}", _equivalences([((), gc, -1)]), budget)
 
 
 def _gc_parts(name: str, u: Universe, pred: Pred | None = None) -> list:
-    return [_equivalence(b, gc) for b, gc in build_gcs(name, u, pred)]
+    return _equivalences(_parts(name, u, pred))
 
 
 def check_canonical_gc(name: str, u: Universe, *, pred: Pred | None = None,
@@ -495,8 +492,8 @@ def check_easy_hard(name: str, u: Universe, *, pred: Pred | None = None,
     carrier, which is also the carrier the adjoint presentation uses.
     """
     _known("combinator", name, SPEC_NAMES)
-    return _run_parts(f"spec:{name}", [_equivalence(*i) for i in _parts(
-        name, u, pred, n, hard_fn, spec=True)], budget)
+    return _run_parts(f"spec:{name}", _equivalences(_parts(
+        name, u, pred, n, hard_fn, spec=True)), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .core import (
 from .combinators import head_fails  # noqa: F401
 from .core import enumerate_carrier  # noqa: F401
 from .connections import SPEC_NAMES, TARGETS, refuse_inapplicable
-from .orders import OrderDef
+from .orders import OrderDef, _decided
 
 
 class OracleError(Exception):
@@ -59,6 +59,12 @@ def candidates_below(o: OrderDef, x, u: Universe) -> list:
     return sorted(set(o.below(x, u)), key=lambda v: (len(v), v))
 
 
+def _related(leq: Callable, a, b) -> bool:
+    """``leq(a, b)``, refused by ``_decided`` unless it is a bool."""
+    flag = leq(a, b)
+    return flag if flag.__class__ is bool else _decided(flag, leq, a, b)
+
+
 def best_under(o: OrderDef, easy: Callable[[object], bool], says: str, x,
                candidates: Iterable):
     """The greatest element, under o, among the candidates below x that
@@ -67,17 +73,19 @@ def best_under(o: OrderDef, easy: Callable[[object], bool], says: str, x,
     ones are kept.
 
     Raises EmptyCandidatesError when nothing qualifies and NoGreatestError
-    when the qualifying set has maximal elements but no single top.
+    when the qualifying set has maximal elements but no single top, and
+    ValueError when ``o.leq`` returns anything but a bool (or 0 or 1).
     """
     feasible = [c for c in candidates if easy(c)]
     if not feasible:
         raise EmptyCandidatesError(
             f"no candidate below {x!r} satisfies: {says}")
     for top in feasible:
-        if all(o.leq(c, top) for c in feasible):
+        if all(_related(o.leq, c, top) for c in feasible):
             return top
     maxima = tuple(m for m in feasible
-                   if not any(m != c and o.leq(m, c) for c in feasible))
+                   if not any(m != c and _related(o.leq, m, c)
+                              for c in feasible))
     raise NoGreatestError(
         f"no greatest candidate below {x!r} for: {says}; "
         f"{len(maxima)} maximal candidates", maxima)
@@ -123,7 +131,10 @@ def oracle_spec(name: str, u: Universe, *, xs: Seq | None = None,
     easy, lower, leq = t.easy, t.lower, (t.order_a or t.order).leq
 
     def solves(y):
-        return leq(lower(y), x_a) and (easy is None or easy(arg, y))
+        flag = leq(lower(y), x_a)  # _related inline: once per candidate
+        if flag.__class__ is not bool:
+            flag = _decided(flag, leq, lower(y), x_a)
+        return flag and (easy is None or easy(arg, y))
 
     _within_budget(f"oracle:{name}", carrier_size_upper(t.order.carrier, u),
                    budget)

@@ -288,6 +288,17 @@ def test_a_relation_that_is_not_a_bool_exits_2(capsys, monkeypatch):
     assert err.startswith("error: relation <lambda> returned 2 for ")
 
 
+def test_an_oracle_relation_that_is_not_a_bool_exits_2(capsys, monkeypatch):
+    t = TARGETS["takeWhile"]
+    monkeypatch.setitem(TARGETS, "takeWhile", replace(t, order=replace(
+        t.order, leq=lambda a, b: 2 if is_prefix(a, b) else 0)))
+    code, out, err = run_cli(capsys, "oracle", "--target", "takeWhile",
+                             "--pred", "0b01", "--input", "0,1")
+    assert (code, out) == (2, "")
+    assert err == ("error: relation <lambda> returned 2 for ((), (0, 1)); "
+                   "it must return a bool\n")
+
+
 def test_check_laws_refusal_projects_the_whole_law(capsys):
     code, out, err = run_cli(
         capsys, "check-laws", "--target", "idempotent", "--max-len", "4",

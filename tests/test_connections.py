@@ -438,7 +438,7 @@ def test_a_broken_relations_error_carries_no_lookup_context(image):
     assert exc.value.__context__ is None
 
 
-def test_left_side_runs_on_easy_candidates_only(monkeypatch):
+def test_every_predicate_of_a_spec_shares_one_row_per_point(monkeypatch):
     for name, order in (("filter", "sublist"), ("takeWhile", "prefix")):
         calls = {order: 0}
         spec = TARGETS[name]
@@ -446,20 +446,25 @@ def test_left_side_runs_on_easy_candidates_only(monkeypatch):
             spec, order=_counting(spec.order, calls, order)))
         rep = check_easy_hard(name, U23)
         assert rep.ok and rep.cases_checked == 900
-        # x's left row is the right row of the point x, on the easy
-        # candidates: 24 of them over the four predicates, against all 15
-        # points (360).  Only the 36 infeasible ones meet the images
-        # apart, 14 x 1 + 11 x 4 + 11 x 4 + 0 x 15 (102).
-        assert calls[order] == 462, name
+        # the four predicates scan one candidate list under one relation,
+        # so they read one right-row function, and x's left row is the
+        # right row of the point x: each of the 15 candidates meets each
+        # of the 15 points once (225)
+        assert calls[order] == 225, name
 
 
 @pytest.mark.parametrize("check", [check_easy_hard, check_canonical_gc])
 @pytest.mark.parametrize("name", ["takeWhile", "filter", "dropWhile"])
 def test_no_candidate_meets_a_point_twice(monkeypatch, check, name):
     # lower is the identity and both sides share one order, so the left
-    # and right rows of a point are one row, evaluated once per check
+    # and right rows of a point are one row, evaluated once per check; a
+    # spec whose candidates range over the whole carrier shares that row
+    # across all its predicates too
     spec = TARGETS[name]
-    for mask in range(4):
+    preds = [Pred(mask, 2) for mask in range(4)]
+    if check is check_easy_hard and not spec.feasible_only:
+        preds.append(None)
+    for pred in preds:
         seen = collections.Counter()
 
         def leq(a, b, seen=seen):
@@ -467,8 +472,19 @@ def test_no_candidate_meets_a_point_twice(monkeypatch, check, name):
             return spec.order.leq(a, b)
         monkeypatch.setitem(TARGETS, name, dataclasses.replace(
             spec, order=dataclasses.replace(spec.order, leq=leq)))
-        assert check(name, U23, pred=Pred(mask, 2)).ok
-        assert max(seen.values()) == 1, (mask, seen.most_common(1))
+        assert check(name, U23, pred=pred).ok
+        assert max(seen.values()) == 1, (pred, seen.most_common(1))
+
+
+@pytest.mark.parametrize("pred", [Pred(1, 2), None], ids=["p1", "every-p"])
+def test_the_easy_set_is_read_by_each_flags_truth_value(monkeypatch, pred):
+    # an easy condition returning 2 for true must not put its flag at
+    # bit 8i + 1 of the mask, next to candidate i's own bit
+    plain = check_easy_hard("takeWhile", U23, pred=pred)
+    t = TARGETS["takeWhile"]
+    monkeypatch.setitem(TARGETS, "takeWhile", dataclasses.replace(
+        t, easy=lambda p, ys: 2 if t.easy(p, ys) else 0))
+    assert plain.ok and check_easy_hard("takeWhile", U23, pred=pred) == plain
 
 
 INAPPLICABLE = [

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import re
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -39,6 +40,7 @@ from galoischeck.orders import (
     SEQ_LIST_PREFIX,
     SEQ_PAIR_PREFIX,
     SUBLIST,
+    is_prefix,
 )
 
 U6 = Universe(6, 3)
@@ -109,6 +111,33 @@ def test_best_under_reports_incomparable_maxima():
         best_under(SUBLIST, lambda c: len(set(c)) <= 1, "one symbol",
                    (0, 1, 0), candidates_below(SUBLIST, (0, 1, 0), U6))
     assert info.value.maxima == ((1,), (0, 0))
+
+
+def _two_or_zero(a, b):
+    return 2 if is_prefix(a, b) else 0
+
+
+def test_the_oracle_refuses_a_relation_that_is_not_a_bool(monkeypatch):
+    # the first comparison of each is prefix at ((), x)
+    bad = dataclasses.replace(PREFIX, leq=_two_or_zero)
+    with pytest.raises(ValueError, match=re.escape(
+            "relation _two_or_zero returned 2 for ((), ()); it must return "
+            "a bool")):
+        best_under(bad, lambda c: True, "", (0,), [(), (0,)])
+    t = TARGETS["takeWhile"]
+    query = partial(oracle_spec, "takeWhile", Universe(2, 3), xs=(0, 1),
+                    pred=Pred(1, 2))
+    plain = query()
+    monkeypatch.setitem(TARGETS, "takeWhile", dataclasses.replace(t, order=bad))
+    with pytest.raises(ValueError, match=re.escape(
+            "relation _two_or_zero returned 2 for ((), (0, 1)); it must "
+            "return a bool")):
+        query()
+    # 0 and 1 are bools enough
+    monkeypatch.setitem(TARGETS, "takeWhile", dataclasses.replace(
+        t, order=dataclasses.replace(PREFIX, leq=lambda a, b: int(
+            is_prefix(a, b)))))
+    assert plain == (0,) and query() == plain
 
 
 def test_oracle_spec_examples():
