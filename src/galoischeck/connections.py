@@ -10,8 +10,9 @@ index in the fixed axis order, and on failure ``cases_checked`` is that
 violation's 1-based position.
 
 A spec or gc check scans ``lower(y) <= x  <=>  y <= upper(x)`` one x a row,
-each side one int of one-byte flags, the easy condition one mask on the
-left side and one right-row function per check (see ``_equivalences``).
+each side one int with one bit per candidate, read from one table of
+masks, the easy condition one mask on the left side and one right-row
+function per check (see ``_equivalences``).
 
 Each target is described once, by its ``TARGETS`` row (see ``Target``),
 and each kind of parameter by one ``Param`` record.  The spec, gc, oracle
@@ -284,7 +285,7 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
     upper map.  A row with an easy condition has one instance per
     predicate, whose candidate ranges over the easy set; for a ``spec`` it
     ranges over the whole carrier, one list for every predicate, and
-    ``mask`` sets bit 8·i where candidate i meets the easy condition (by
+    ``mask`` sets bit i where candidate i meets the easy condition (by
     truth value), which the left side then also requires; elsewhere it is
     -1.  x ranges over ``order_a``'s carrier, or over (n, xs) for a given
     count n.
@@ -309,7 +310,7 @@ def _parts(name: str, u: Universe, pred: Pred | None = None,
         flags = [t.easy(p, y) for y in ys]
         y_axis = (t.y_names, ys if whole else list(compress(ys, flags)))
         parts.append(((("p", p),), gc(upper=partial(hard, p), y_axis=y_axis),
-                      int.from_bytes(bytes(map(bool, flags)), "little")
+                      sum(1 << i for i, f in enumerate(flags) if f)
                       if whole else -1))
     return parts
 
@@ -323,50 +324,47 @@ def build_gcs(name: str, u: Universe,
 
 def _row_of(leq: Callable, lows: list) -> Callable:
     """x's row: ``leq(low, x)`` for every low, as an int with low i's flag
-    at bit 8·i, kept by point for the check; an unhashable point is
-    evaluated afresh.  ``leq`` runs once per distinct hashable low, in
-    first-occurrence order, and must see a low only through ``==``; each
-    flag is set at every bit of its low's mask.  When ``leq`` carries
-    ``factors``, the row is the ``&`` of its factors' rows, each kept by
-    component, never by x.  When it carries a row form, ``rows`` (as
-    ``is_suffix`` does), a hashable tuple x's row is read from
-    ``leq.rows(lows)`` if every low is a hashable tuple, and ``leq`` is not
-    called; any other x or low, and any relation without the attribute (a
-    wrapped or replaced one), is evaluated pair by pair.  A non-bool result
-    is refused (``_decided``)."""
+    at bit i, kept by point for the check; an unhashable point is evaluated
+    afresh.  One table maps each distinct hashable low, in first-occurrence
+    order, to the mask of its positions (if any low is unhashable, every
+    position is its own entry).  ``leq`` runs once per entry, must see a low
+    only through ``==``, and a row is the sum (the OR: masks are disjoint)
+    of the masks whose flags are true; a non-bool flag is refused.  With
+    ``factors``, the row is the ``&`` of the factors' rows, each kept by
+    component, never by x.  With its own below-generator, ``below`` (as
+    ``is_suffix``), and every low a hashable tuple, a hashable tuple x's
+    row is the sum of the table's masks over what ``leq.below`` yields,
+    with no ``leq`` call.  That needs distinct yields, exactly the tuples
+    below x, and a dict's lookup, by hash and ``==``, to agree with ``leq``,
+    as it does for ``is_suffix`` on every tuple whose elements each equal
+    themselves (a NaN does not).  Any other case is evaluated per entry."""
     factors = getattr(leq, "factors", None)
     if factors is not None:
         first, second = (_row_of(f, [low[i] for low in lows])
                          for i, f in enumerate(factors))
         return lambda x: first(x[0]) & second(x[1])
-    masks = None
+    table: dict | None = {}
     try:
-        distinct = dict.fromkeys(lows, 0)
-    except TypeError:  # an unhashable low
-        distinct = lows
-    form = getattr(leq, "rows", None)
-    if form is not None and distinct is not lows and all(
-            low.__class__ is tuple for low in lows):
-        own = form(lows)
-    else:
-        own = None
-    if len(distinct) < len(lows):
-        for i, low in enumerate(lows):  # low's mask: bit 8·i per position i
-            distinct[low] |= 1 << 8 * i
-        lows, masks = list(distinct), list(distinct.values())
+        for i, low in enumerate(lows):
+            table[low] = table.get(low, 0) | 1 << i
+        keys, masks = list(table), list(table.values())
+    except TypeError:  # an unhashable low: every position is its own entry
+        table, keys, masks = None, lows, [1 << i for i in range(len(lows))]
+    below = getattr(leq, "below", None)
+    if below is not None and (table is None or any(
+            low.__class__ is not tuple for low in lows)):
+        below = None
 
     def evaluate(x) -> int:
         try:
-            row = bytes(map(leq, lows, repeat(x)))
+            flags = bytes(map(leq, keys, repeat(x)))
         except (TypeError, ValueError):
-            row = None
-        if row is None or row.translate(None, b"\0\1"):
+            flags = None
+        if flags is None or flags.translate(None, b"\0\1"):
             # Some result is not 0 or 1: evaluate again, checked, to name
             # it.  An error that leq itself raises propagates.
-            row = bytes(_decided(leq(low, x), leq, low, x) for low in lows)
-        if masks is not None:
-            return sum(compress(masks, row))
-        return int.from_bytes(row, "little")
+            flags = bytes(_decided(leq(low, x), leq, low, x) for low in keys)
+        return sum(compress(masks, flags))
 
     rows: dict = {}
 
@@ -379,8 +377,9 @@ def _row_of(leq: Callable, lows: list) -> Callable:
             keep = True
         except TypeError:
             keep = False
-        if keep and own is not None and x.__class__ is tuple:
-            value = own(x)
+        if keep and below is not None and x.__class__ is tuple:
+            # the generator reads no universe
+            value = sum(map(table.get, below(x, None), repeat(0)))
         else:
             value = evaluate(x)
         if keep:
@@ -390,16 +389,16 @@ def _row_of(leq: Callable, lows: list) -> Callable:
 
 
 def _lowest(row: int) -> int:
-    """The index of a nonzero row's first true flag, at bit 8·index."""
-    return ((row & -row).bit_length() - 1) >> 3
+    """The index of a nonzero row's first true flag: its lowest set bit."""
+    return (row & -row).bit_length() - 1
 
 
 def _equivalences(instances: list) -> list[_Part]:
     """The defining equivalence of each (bindings, gc, mask) instance over
     the product of its carriers, one x against every y per row, the left
-    side also requiring the easy condition: ``mask`` has bit 8·i set where
+    side also requiring the easy condition: ``mask`` has bit i set where
     candidate i meets it (-1: every candidate).  Each side of a row is an
-    int, candidate i's flag at bit 8·i, and a row's first mismatch is the
+    int, candidate i's flag at bit i, and a row's first mismatch is the
     lowest set bit of ``right ^ (left & mask)``.
 
     Every row comes from a row function (``_row_of``), which keeps each
@@ -416,9 +415,9 @@ def _equivalences(instances: list) -> list[_Part]:
     and dropWhile), it is the right row of the point x itself, read from
     the same row function, so each (candidate, point) pair is evaluated
     once per check, whichever side asks first.  Where the relation carries
-    a row form (dropWhile's ``is_suffix``), a row costs what lies below its
-    point and no relation call: x's suffixes, looked up among the
-    candidates.
+    its below-generator (dropWhile's ``is_suffix``), a row costs what lies
+    below its point and no relation call: x's suffixes, looked up in the
+    candidates' mask table.
     """
     shared = None  # (relation, candidates, their right-row function)
 

@@ -9,14 +9,13 @@ below a shorter one, read off the two lengths.  Only then do they peel
 heads, so a pair whose first sequence is the longer is refused without a
 loop.
 
-One closed form is kept here as well: ``is_suffix.rows``, the suffix
-order's row form, which a spec or gc row reads instead of calling the
-relation once per low (see ``_suffix_rows``).  It is a second definition of
-the same relation, kept in the package because it is what makes
-dropWhile's rows cost what x has below it; the test suite checks that it
-agrees with ``is_suffix`` on every pair at small bounds and on the odd
-values a ``hard_fn`` can return.  ``is_prefix`` and ``is_sublist`` carry no
-row form yet.
+The suffix order's down-set is written once, as ``_suffixes``: x and each
+of its tails, one head peeled a step.  ``SUFFIX.below`` holds it, the law
+checker checks it against ``is_suffix``, and ``is_suffix.below`` is the
+same function, so a spec or gc row reads x's row off x's suffixes instead
+of calling the relation once per low (see ``connections._row_of``), which
+is what makes dropWhile's rows cost what x has below it.  ``is_prefix`` and
+``is_sublist`` carry no ``below`` yet.
 """
 
 from __future__ import annotations
@@ -96,32 +95,6 @@ def is_suffix(s: Seq, l: Seq) -> bool:
     return True
 
 
-def _suffix_rows(lows: list) -> Callable:
-    """``is_suffix``'s row form: x's row, the int with bit 8·i set when
-    ``lows[i]`` ends x, for tuple lows and a hashable tuple x.  What ends x
-    is exactly x's ``len(x) + 1`` suffixes: x itself, then each tail down to
-    the empty one.  Their lengths all differ, so the row is the sum of their
-    masks in a dict from each low to its bits, where equal lows share one
-    mask.  A dict finds a key by hash and ``==``, which agree with the
-    element-by-element comparison on every tuple whose elements each equal
-    themselves (a NaN does not)."""
-    masks: dict = {}
-    for i, low in enumerate(lows):
-        masks[low] = masks.get(low, 0) | 1 << 8 * i
-    get = masks.get
-
-    def row(x: tuple) -> int:
-        flags = get(x, 0)
-        while x:
-            x = x[1:]
-            flags += get(x, 0)
-        return flags
-    return row
-
-
-is_suffix.rows = _suffix_rows
-
-
 def _decided(flag, leq: Callable, a, b) -> bool:
     """``flag``, the result of ``leq(a, b)``, if it is a bool (or 0 or 1);
     else a ``ValueError`` that names ``leq``, the result and its arguments."""
@@ -166,7 +139,15 @@ def _prefixes(y, u: Universe):
 
 
 def _suffixes(l, u: Universe):
-    return [l[i:] for i in range(len(l) + 1)]
+    """l and each of its tails, one head peeled a step.  As
+    ``is_suffix.below``, it gives suffix rows the down-set the laws check."""
+    yield l
+    while l:
+        l = l[1:]
+        yield l
+
+
+is_suffix.below = _suffixes
 
 
 def _subsequences(y, u: Universe):

@@ -331,18 +331,31 @@ ROW_LOWS = {
 }
 
 
-@pytest.mark.parametrize("leq", [is_prefix, _loose_prefix])
-@pytest.mark.parametrize("lows", ROW_LOWS.values(), ids=ROW_LOWS)
+def _flags(leq, lows, x):
+    """x's row as the relation mapped over every low: bit i for low i."""
+    flags = map(leq, lows, itertools.repeat(x))
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
+def _always(a, b):
+    return True
+
+
+@pytest.mark.parametrize("leq", [is_prefix, _loose_prefix, _always])
+@pytest.mark.parametrize("lows", [*ROW_LOWS.values(), []],
+                         ids=[*ROW_LOWS, "empty"])
 def test_a_row_is_the_relation_mapped_over_every_low(leq, lows):
     row = connections._row_of(leq, lows)
     for x in SEQS:
-        assert row(x) == int.from_bytes(
-            bytes(map(leq, lows, itertools.repeat(x))), "little"), x
+        assert row(x) == _flags(leq, lows, x), x
 
 
 SEQS34 = materialize_carrier(CarrierKind.SEQ, Universe(3, 4))
 SUFFIX_ROWS = {  # lows, points
     "every-pair": (SEQS34, SEQS34),
+    "empty": ([], SEQS),
+    # every low ends every point: every flag is set
+    "every-flag": ([()] * 9, SEQS),
     "repeats": ([s[1:] for s in SEQS34], SEQS34),
     # True == 1 == 1.0, and equal lows of other types share one mask
     "bool-float": ([(True,), (1,), (1.0,), (), (0, True), (0.0, 1)],
@@ -363,16 +376,15 @@ SUFFIX_ROWS = {  # lows, points
 def test_a_suffix_row_is_is_suffix_mapped_over_every_low(lows, xs):
     row = connections._row_of(is_suffix, lows)
     for x in xs:
-        assert row(x) == int.from_bytes(
-            bytes(map(is_suffix, lows, itertools.repeat(x))), "little"), x
+        assert row(x) == _flags(is_suffix, lows, x), x
 
 
 def test_a_row_form_stands_in_for_every_call_on_tuples():
-    # a tuple x against tuple lows is read from the form alone; the map
-    # path still runs for a list x
+    # a tuple x against tuple lows is read from the below-generator alone;
+    # the map path still runs for a list x
     def refused(a, b):
         raise AssertionError((a, b))
-    refused.rows = is_suffix.rows
+    refused.below = is_suffix.below
     row = connections._row_of(refused, SEQS)
     assert row((0, 1)) == connections._row_of(is_suffix, SEQS)((0, 1))
     with pytest.raises(AssertionError):
@@ -478,8 +490,8 @@ def test_no_candidate_meets_a_point_twice(monkeypatch, check, name):
 
 @pytest.mark.parametrize("pred", [Pred(1, 2), None], ids=["p1", "every-p"])
 def test_the_easy_set_is_read_by_each_flags_truth_value(monkeypatch, pred):
-    # an easy condition returning 2 for true must not put its flag at
-    # bit 8i + 1 of the mask, next to candidate i's own bit
+    # an easy condition returning 2 for true must set candidate i's bit
+    # of the mask alone, not bit i + 1, candidate i + 1's bit
     plain = check_easy_hard("takeWhile", U23, pred=pred)
     t = TARGETS["takeWhile"]
     monkeypatch.setitem(TARGETS, "takeWhile", dataclasses.replace(
@@ -787,6 +799,10 @@ LAWS_ON_PREFIX = {
     "cancellation-left": lambda: check_cancellation("takeWhile", U23, "left"),
     "cancellation-right":
         lambda: check_cancellation("takeWhile", U23, "right"),
+    "spec": lambda: check_easy_hard("takeWhile", U23),
+    "gc": lambda: check_canonical_gc("takeWhile", U23),
+    "indirect-equality": lambda: check_indirect_equality("prefix", U23),
+    "oracle": lambda: oracle_spec("takeWhile", U23, xs=(), pred=Pred(1, 2)),
 }
 
 
@@ -802,9 +818,11 @@ def test_the_laws_refuse_a_relation_that_is_not_a_bool(monkeypatch, law):
 
 @pytest.mark.parametrize("law", LAWS_ON_PREFIX)
 def test_the_laws_take_0_and_1_as_flags(monkeypatch, law):
+    # the oracle's result is a tuple, not a report
     plain = LAWS_ON_PREFIX[law]()
     _with_prefix_leq(monkeypatch, lambda a, b: int(is_prefix(a, b)))
-    assert plain.ok and LAWS_ON_PREFIX[law]() == plain
+    assert (plain == () if law == "oracle" else plain.ok)
+    assert LAWS_ON_PREFIX[law]() == plain
 
 
 # --- the law battery -------------------------------------------------------

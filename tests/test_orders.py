@@ -141,6 +141,15 @@ def test_below_generators_are_complete_and_sound(order, k, L):
         assert generated == scanned
 
 
+def test_a_suffix_row_reads_the_down_set_the_law_checker_checks():
+    # a row of the suffix order sums one mask per yield, so the yields are
+    # distinct, and they come from the generator that check-order checks
+    assert ORDERS["suffix"].below is is_suffix.below
+    for y in materialize_carrier(CarrierKind.SEQ, Universe(2, 4)):
+        below = list(is_suffix.below(y, None))
+        assert len(set(below)) == len(below) == len(y) + 1
+
+
 @pytest.mark.parametrize("name,least", [
     ("prefix", ()), ("sublist", ()), ("suffix", ()),
     ("product", (0, ())), ("pair-prefix", ()),

@@ -289,11 +289,12 @@ def test_factor_mutant_orders_match_reference(name, u, mutant, build):
 # --- the first mismatch of a row ---------------------------------------------
 #
 # The engine holds a row's left and right flags as ints, candidate i's flag
-# at bit 8·i, and reads the first mismatch off the lowest set bit of their
+# at bit i, and reads the first mismatch off the lowest set bit of their
 # XOR.  Each seeded output below first differs from the real one at a chosen
-# candidate of the trigger's row: at the edges of a byte and of 32- and
-# 64-bit words, and at the row's last candidate.  Take's row is the AND of
-# its factor rows, takeWhile's (all elements pass) one call per candidate.
+# candidate of the trigger's row: at the edges of a byte, of a 30-bit int
+# digit and of 32- and 64-bit words, and at the row's last candidate.
+# Take's row is the AND of its factor rows, takeWhile's (all elements pass)
+# one call per candidate.
 # No wrong output differs at candidate 0, the empty sequence, which is below
 # every output; the strict-prefix order mutants above disagree there.
 
