@@ -328,8 +328,9 @@ def _row_of(leq: Callable, lows: list) -> Callable:
     afresh.  One table maps each distinct hashable low, in first-occurrence
     order, to the mask of its positions (if any low is unhashable, every
     position is its own entry).  ``leq`` runs once per entry, must see a low
-    only through ``==``, and a row is the sum (the OR: masks are disjoint)
-    of the masks whose flags are true; a non-bool flag is refused.  With
+    only through ``==``, and a row is the OR of the masks of its true
+    entries, found one by one with ``bytes.find``, so a row costs its true
+    flags rather than the table's size; a non-bool flag is refused.  With
     ``factors``, the row is the ``&`` of the factors' rows, each kept by
     component, never by x.  With its own below-generator, ``below`` (as
     ``is_suffix``), and every low a hashable tuple, a hashable tuple x's
@@ -364,7 +365,12 @@ def _row_of(leq: Callable, lows: list) -> Callable:
             # Some result is not 0 or 1: evaluate again, checked, to name
             # it.  An error that leq itself raises propagates.
             flags = bytes(_decided(leq(low, x), leq, low, x) for low in keys)
-        return sum(compress(masks, flags))
+        row = 0
+        i = flags.find(1)
+        while i >= 0:
+            row |= masks[i]
+            i = flags.find(1, i + 1)
+        return row
 
     rows: dict = {}
 

@@ -1,6 +1,7 @@
 """Orderings against independent closed-form characterizations, plus the
 law checker's behavior on healthy and broken relations."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
@@ -473,6 +474,51 @@ def test_a_yield_that_fails_reflexivity_is_still_refused():
     with pytest.raises(ValueError, match=r"yielded \(0,\) which is not "
                        r"below \(0,\)"):
         check_order_laws(HAND_MADE["prefix-irreflexive"], Universe(2, 3))
+
+
+def two_at_0(a, b):
+    """Prefix, except that the generator pair ((), (0,)) scores 2."""
+    return 2 if (a, b) == ((), (0,)) else is_prefix(a, b)
+
+
+def none_reversed(a, b):
+    """Prefix, except that the reversed pair ((0,), ()) scores None."""
+    return None if (a, b) == ((0,), ()) else is_prefix(a, b)
+
+
+def test_a_non_bool_on_a_generator_pair_is_named():
+    # x <= x is a bool everywhere, so the fill is the first to see the 2
+    odd = replace(ORDERS["prefix"], name="two-at-0", leq=two_at_0)
+    message = ("relation two_at_0 returned 2 for ((), (0,)); it must "
+               "return a bool")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_order_laws(odd, Universe(2, 2))
+
+
+def test_a_non_bool_on_a_reversed_pair_is_refused_by_antisymmetry():
+    # only the antisymmetry scan evaluates a yielded pair the other way round
+    odd = replace(ORDERS["prefix"], name="none-reversed", leq=none_reversed)
+    message = ("relation none_reversed returned None for ((0,), ()); it "
+               "must return a bool")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_order_laws(odd, Universe(2, 2))
+
+
+def test_a_0_1_relation_refuses_a_yield_it_scores_0():
+    lying = OrderDef("lying-0-1", lambda a, b: int(is_prefix(a, b)), SEQ,
+                     below=lambda y, u: [(0,)])
+    with pytest.raises(ValueError, match=r"yielded \(0,\) which is not "
+                       r"below \(\)"):
+        check_order_laws(lying, Universe(2, 2))
+
+
+def test_a_0_1_relation_reports_the_bool_relations_witness():
+    bool_version = HAND_MADE["always-last-0"]
+    twin = replace(bool_version, leq=lambda a, b: 1)
+    u = Universe(2, 3)
+    report = check_order_laws(twin, u)
+    assert report.antisymmetric.counterexample == (("x", ()), ("y", (0,)))
+    assert report == check_order_laws(bool_version, u)
 
 
 def test_reflexive_yields_are_not_evaluated_again():
