@@ -14,7 +14,9 @@ of its tails, one head peeled a step.  ``SUFFIX.below`` holds it, the law
 checker checks it against ``is_suffix``, and ``is_suffix.below`` is the
 same function, so a spec or gc row reads x's row off x's suffixes instead
 of calling the relation once per low (see ``connections._row_of``), which
-is what makes dropWhile's rows cost what x has below it.  ``is_prefix`` and
+is what makes dropWhile's rows cost what x has below it.  The prefix
+order's down-set, ``_prefixes``, is the mirror of ``_suffixes``: y and each
+of its prefixes, one last element dropped a step.  ``is_prefix`` and
 ``is_sublist`` carry no ``below`` yet.
 """
 
@@ -135,7 +137,12 @@ def _counts(n: int, u: Universe):
 
 
 def _prefixes(y, u: Universe):
-    return [y[:i] for i in range(len(y) + 1)]
+    """y and each of its prefixes, one last element dropped a step: the
+    mirror of ``_suffixes``, and of the same type as y."""
+    yield y
+    while y:
+        y = y[:-1]
+        yield y
 
 
 def _suffixes(l, u: Universe):
@@ -158,10 +165,13 @@ def _subsequences(y, u: Universe):
 
 
 def _pairs_below(first: Callable, second: Callable) -> Callable:
-    """A componentwise order's below-generator, from its factors'."""
+    """A componentwise order's below-generator, from its factors'.  The
+    second factor's down-set is built once, as a list, and paired with each
+    yield of the first, so a generator factor is not used up."""
     def below(v, u: Universe):
         a, b = v
-        return [(x, y) for x in first(a, u) for y in second(b, u)]
+        seconds = list(second(b, u))
+        return [(x, y) for x in first(a, u) for y in seconds]
     return below
 
 
@@ -230,7 +240,9 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     for every element, a yield of y itself (an element equal to y) is not
     evaluated again: ``leq(y, y)`` is already known to hold.  That assumes
     ``leq`` sees its arguments only through ``==``, as every order here
-    does.  Every evaluation that is made is counted, so the budget counts
+    does.  A yield that is y itself needs no index lookup either: its index
+    is y's own, which a lookup of the key object would return.  Every
+    evaluation that is made is counted, so the budget counts
     exactly the evaluations made and none that is skipped, and a non-bool
     result is refused.  The reflexive and transitive scans count through
     ``holds``; the two hot loops, the below-generator check in the fill and
@@ -326,10 +338,13 @@ def check_order_laws(o: OrderDef, u: Universe, *,
     index = {v: i for i, v in enumerate(elems)}
     for y, j in index.items():
         for x in o.below(y, u):
-            i = index.get(x)
-            if i is None:
-                raise ValueError(f"below-generator for {o.name} yielded a "
-                                 f"value outside the carrier: {x!r}")
+            if x is y:
+                i = j
+            else:
+                i = index.get(x)
+                if i is None:
+                    raise ValueError(f"below-generator for {o.name} yielded "
+                                     f"a value outside the carrier: {x!r}")
             # j goes into x's row before the check: a failed check raises,
             # and the rows die with this call
             row = above[i]

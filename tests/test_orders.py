@@ -32,7 +32,16 @@ from galoischeck import (
     seq_list_prefix,
     seq_pair_prefix,
 )
-from galoischeck.orders import PAIR_PREFIX, SEQ_LIST_PREFIX, SEQ_PAIR_PREFIX
+from galoischeck.orders import (
+    PAIR_PREFIX,
+    PREFIX,
+    SEQ_LIST_PREFIX,
+    SEQ_PAIR_PREFIX,
+    _counts,
+    _pairs_below,
+    _prefixes,
+    _suffixes,
+)
 from loop_reference import first_violation, prefix
 
 short_seq = st.lists(st.integers(0, 3), max_size=6).map(tuple)
@@ -149,6 +158,39 @@ def test_a_suffix_row_reads_the_down_set_the_law_checker_checks():
     for y in materialize_carrier(CarrierKind.SEQ, Universe(2, 4)):
         below = list(is_suffix.below(y, None))
         assert len(set(below)) == len(below) == len(y) + 1
+
+
+@pytest.mark.parametrize("carrier", [CarrierKind.SEQ, CarrierKind.PAIR_SEQ])
+def test_a_prefix_down_set_is_each_prefix_once(carrier):
+    # a row that sums one mask per yield needs the yields distinct; a list
+    # y gives list prefixes, as slicing y does
+    assert PREFIX.below is PAIR_PREFIX.below is _prefixes
+    for y in materialize_carrier(carrier, Universe(2, 4)):
+        for seq in (y, list(y)):
+            below = list(_prefixes(seq, None))
+            assert len(below) == len({len(x) for x in below}) == len(y) + 1
+            assert sorted(below, key=len) == [
+                seq[:i] for i in range(len(y) + 1)], seq
+
+
+@pytest.mark.parametrize("second", [_prefixes, _suffixes])
+def test_a_pair_down_set_builds_the_second_factors_once(second):
+    """``_pairs_below`` asks the second factor for b's down-set once per
+    pair, and pairs every count with every one of its yields, though a
+    generator's yields can be walked only once."""
+    asked = []
+
+    def counted(b, u):
+        asked.append(b)
+        return second(b, u)
+
+    below = _pairs_below(_counts, counted)
+    for n, b in product(range(3), materialize_carrier(CarrierKind.SEQ,
+                                                    Universe(2, 3))):
+        asked.clear()
+        assert below((n, b), None) == [
+            (c, x) for c in range(n + 1) for x in second(b, None)]
+        assert asked == [b]
 
 
 @pytest.mark.parametrize("name,least", [
